@@ -1,5 +1,7 @@
 #include "asap/ad.hpp"
 
+#include "common/error.hpp"
+
 namespace asap::ads {
 
 const char* ad_kind_name(AdKind k) {
@@ -32,6 +34,15 @@ Bytes refresh_ad_bytes(const sim::SizeModel& sizes) {
 Bytes delta_ad_bytes(std::size_t toggled_positions, std::size_t topics,
                      const sim::SizeModel& sizes) {
   return patch_ad_bytes(toggled_positions, topics, sizes) + 2;
+}
+
+TopicMask topic_mask_of(std::span<const TopicId> topics) {
+  TopicMask mask = 0;
+  for (const TopicId t : topics) {
+    ASAP_REQUIRE(t < trace::kNumClasses, "topic is not a content class");
+    mask |= static_cast<TopicMask>(1U << t);
+  }
+  return mask;
 }
 
 bool topics_overlap(const std::vector<TopicId>& a,

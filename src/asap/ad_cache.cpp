@@ -11,17 +11,18 @@ AdCache::AdCache(std::uint32_t capacity) : capacity_(capacity) {}
 
 std::uint64_t AdCache::prefilter_for(const AdPayload& ad) const {
   if (ad.filter.params() != canonical_) return ~0ULL;
-  return ad.filter.fold();
+  return ad.fold;
 }
 
 void AdCache::fold_count_add(std::uint64_t word) {
   if (word == 0) return;
-  if (!fold_count_) {
-    fold_count_ = std::make_unique<std::array<std::uint32_t, 64>>();
-    fold_count_->fill(0);
+  if (!fold_count_) fold_count_ = std::make_unique<FoldCounts>();
+  if (word == ~0ULL) {
+    ++fold_count_->all_ones;
+    return;
   }
   while (word != 0) {
-    ++(*fold_count_)[static_cast<std::size_t>(std::countr_zero(word))];
+    ++fold_count_->bits[static_cast<std::size_t>(std::countr_zero(word))];
     word &= word - 1;
   }
 }
@@ -29,24 +30,30 @@ void AdCache::fold_count_add(std::uint64_t word) {
 void AdCache::fold_count_remove(std::uint64_t word) {
   if (word == 0) return;
   ASAP_DCHECK(fold_count_ != nullptr);
+  if (word == ~0ULL) {
+    ASAP_DCHECK(fold_count_->all_ones > 0);
+    --fold_count_->all_ones;
+    return;
+  }
   while (word != 0) {
     auto& c =
-        (*fold_count_)[static_cast<std::size_t>(std::countr_zero(word))];
+        fold_count_->bits[static_cast<std::size_t>(std::countr_zero(word))];
     ASAP_DCHECK(c > 0);
     --c;
     word &= word - 1;
   }
 }
 
-void AdCache::set_payload(std::size_t idx, AdPayloadPtr ad) {
+void AdCache::set_payload(std::size_t idx, const AdPayloadPtr& ad) {
   const std::uint64_t pre = prefilter_for(*ad);
   fold_count_remove(prefilter_[idx]);
   fold_count_add(pre);
   prefilter_[idx] = pre;
-  entries_[idx].ad = std::move(ad);
+  entries_[idx].ad = ad;
 }
 
-AdCache::PutResult AdCache::put(AdPayloadPtr ad, double now, Rng& rng) {
+AdCache::PutResult AdCache::put(const AdPayloadPtr& ad, double now,
+                                Rng& rng) {
   ASAP_DCHECK(ad != nullptr);
   // Capacity 0 = caching disabled: nothing is stored, nothing is evicted,
   // and no randomness is consumed.
@@ -80,22 +87,29 @@ AdCache::PutResult AdCache::put(AdPayloadPtr ad, double now, Rng& rng) {
   }
   if (const std::uint32_t* idxp = pos_.find(src)) {
     const std::uint32_t idx = *idxp;
+    Entry& entry = entries_[idx];
     PutResult r;
     r.implausible = implausible;
-    // Never downgrade to an older version (walk revisits can deliver the
-    // same ad twice; late full ads can race a newer patch).
-    if (ad->version >= entries_[idx].ad->version) {
-      // A full ad is also the new delta base.
-      entries_[idx].base = ad;
-      set_payload(idx, std::move(ad));
+    if (entry.ad == ad && entry.base == ad) {
+      // Revisit: the entry already holds this payload as ad and base (ad
+      // walks revisit nodes; this is most puts). The branch below would
+      // reassign both pointers to themselves and swap the prefilter word
+      // for an identical one, so only its effect on the strikes remains.
+      entry.timeout_strikes = 0;
+      r.stored = true;
+    } else if (ad->version >= entry.ad->version) {
+      // Never downgrade to an older version (late full ads can race a
+      // newer patch). A full ad is also the new delta base.
+      entry.base = ad;
+      set_payload(idx, ad);
       // A fresh ad is evidence the source is alive and advertising.
-      entries_[idx].timeout_strikes = 0;
+      entry.timeout_strikes = 0;
       r.stored = true;
     }
     // The gate's verdict is about the source, not this ad instance: even
     // a stale stuffed delivery collapses the entry's trust.
-    if (implausible) entries_[idx].trust = 0.0;
-    entries_[idx].touch = now;
+    if (implausible) entry.trust = 0.0;
+    entry.touch = now;
     return r;
   }
   PutResult r;
@@ -110,8 +124,8 @@ AdCache::PutResult AdCache::put(AdPayloadPtr ad, double now, Rng& rng) {
   fold_count_add(pre);
   sources_.push_back(src);
   Entry entry;
+  entry.ad = ad;
   entry.base = ad;
-  entry.ad = std::move(ad);
   entry.touch = now;
   if (implausible) entry.trust = 0.0;
   entries_.push_back(std::move(entry));
@@ -382,17 +396,20 @@ std::size_t AdCache::order_terms(
   const auto keys = query.keys();
   std::array<std::uint32_t, kMaxOrderedTerms> selectivity{};
   for (std::size_t t = 0; t < n; ++t) {
-    // At most fold_count_[j] entries have fold bit j, so the rarest bit of
-    // the term's mask bounds how many entries the term can match. A null
-    // array reads as all-zero counts.
+    // At most bits[j] + all_ones entries have fold bit j, so the rarest
+    // bit of the term's mask bounds how many entries the term can match.
+    // all_ones adds to every bit alike, so the rarest bit is found on
+    // `bits` alone. A null block reads as all-zero counts.
     std::uint64_t mask = keys[t].fold_mask();
     std::uint32_t s = ~0U;
-    if (fold_count_) {
+    if (mask != 0 && fold_count_) {
+      std::uint32_t rarest = ~0U;
       while (mask != 0) {
         const auto b = static_cast<std::size_t>(std::countr_zero(mask));
-        s = std::min(s, (*fold_count_)[b]);
+        rarest = std::min(rarest, fold_count_->bits[b]);
         mask &= mask - 1;
       }
+      s = rarest + fold_count_->all_ones;
     } else if (mask != 0) {
       s = 0;
     }
@@ -478,11 +495,12 @@ void AdCache::collect_for_reply(const bloom::HashedQuery& query,
   }
   // Pass 2: up to max_topical ads topically relevant to the requester.
   if (!truncated) {
+    const TopicMask wanted = topic_mask_of(interests);
     std::uint32_t topical = 0;
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       if (out.size() >= max_ads || topical >= max_topical) break;
       if (!query.empty() && matches(i)) continue;  // already included
-      if (topics_overlap(entries_[i].ad->topics, interests)) {
+      if ((entries_[i].ad->topic_mask & wanted) != 0) {
         out.push_back(entries_[i].ad);
         ++topical;
       }

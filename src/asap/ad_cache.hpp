@@ -109,8 +109,11 @@ class AdCache {
 
   /// Inserts or replaces the ad for its source; evicts if over capacity.
   /// A stale version for an already-cached source only touches the entry
-  /// (stored stays false).
-  PutResult put(AdPayloadPtr ad, double now, Rng& rng);
+  /// (stored stays false). Redelivering the exact payload the entry holds
+  /// as both ad and base (an ad walk revisiting a node) takes a short path
+  /// with the same observable effect: strikes reset, gate verdict applied,
+  /// entry touched, stored = true.
+  PutResult put(const AdPayloadPtr& ad, double now, Rng& rng);
 
   /// Applies a patch: swaps to `next` iff the cached version equals
   /// `base_version` (kApplied). Any other version mismatch either keeps a
@@ -246,7 +249,7 @@ class AdCache {
   /// geometry matches the system-wide default, else all-ones ("cannot
   /// prefilter, always scan") so foreign-geometry entries stay correct.
   std::uint64_t prefilter_for(const AdPayload& ad) const;
-  void set_payload(std::size_t idx, AdPayloadPtr ad);
+  void set_payload(std::size_t idx, const AdPayloadPtr& ad);
   void fold_count_add(std::uint64_t word);
   void fold_count_remove(std::uint64_t word);
 
@@ -271,13 +274,19 @@ class AdCache {
   std::vector<NodeId> sources_;
   std::vector<Entry> entries_;
   std::vector<std::uint64_t> prefilter_;
-  // fold_count_[j] = number of entries whose prefilter has bit j set;
-  // drives the rarest-first term ordering. Allocated lazily on the first
-  // nonzero prefilter word — a million idle caches cost 8 bytes each here,
-  // not 256 — and a null array reads as all-zero counts (order_terms then
-  // degrades to natural term order, exactly like the eager all-zero
-  // array did).
-  std::unique_ptr<std::array<std::uint32_t, 64>> fold_count_;
+  // Per-bit prefilter counts driving the rarest-first term ordering: the
+  // number of entries whose prefilter has bit j set is bits[j] + all_ones.
+  // All-ones words (a dense filter folds to all-ones; so does a foreign
+  // geometry) are counted once in all_ones instead of 64 times in bits.
+  // Allocated lazily on the first nonzero prefilter word — a million idle
+  // caches cost 8 bytes each here, not 260 — and a null block reads as
+  // all-zero counts (order_terms then degrades to natural term order,
+  // exactly like an eager all-zero block would).
+  struct FoldCounts {
+    std::array<std::uint32_t, 64> bits{};
+    std::uint32_t all_ones = 0;
+  };
+  std::unique_ptr<FoldCounts> fold_count_;
   FlatMap<NodeId, std::uint32_t> pos_;  // source -> index
   /// source -> virtual time until which puts are dropped (erase_stale).
   /// Empty unless a backoff is configured, so vanilla runs never pay a

@@ -44,9 +44,11 @@ AsapProtocol::AsapProtocol(search::Ctx& ctx, AsapParams params)
   const auto slots = ctx.model.total_node_slots();
   advertisers_.reserve(slots);
   caches_.reserve(slots);
+  interest_mask_.reserve(slots);
   for (NodeId n = 0; n < slots; ++n) {
     advertisers_.emplace_back(n);
     caches_.emplace_back(params.cache_capacity);
+    interest_mask_.push_back(topic_mask_of(ctx.model.interests(n)));
   }
   refresh_scheduled_.assign(slots, 0);
   if (params_.stale_readmit_backoff > 0.0) {
@@ -80,6 +82,7 @@ AsapProtocol::AsapProtocol(search::Ctx& ctx, AsapParams params)
 std::uint64_t AsapProtocol::state_bytes() const {
   std::uint64_t total = advertisers_.capacity() * sizeof(Advertiser) +
                         caches_.capacity() * sizeof(AdCache) +
+                        interest_mask_.capacity() * sizeof(TopicMask) +
                         refresh_scheduled_.capacity() +
                         scheds_.capacity() * sizeof(AdScheduler);
   for (const auto& a : advertisers_) total += a.memory_bytes();
@@ -95,13 +98,12 @@ bool AsapProtocol::is_polluter(NodeId n) const {
 
 AdPayloadPtr AsapProtocol::maybe_pollute(NodeId src, AdPayloadPtr payload) {
   if (!is_polluter(src)) return payload;
-  auto polluted = std::make_shared<AdPayload>(*payload);
   // Phantom bits are a pure function of (source, version): every delivery
   // of this version ships the identical stuffed filter, and no shared RNG
   // stream is consumed, so arming polluters perturbs nothing else.
   SplitMix64 sm(0xC6A4A7935BD1E995ULL ^
                 (static_cast<std::uint64_t>(src) << 32) ^ payload->version);
-  auto& filter = polluted->filter;
+  bloom::BloomFilter filter = payload->filter;
   const std::uint32_t bits = filter.params().bits;
   const std::uint32_t stuff =
       ctx_.faults->plan().config().pollution_bits;
@@ -110,7 +112,9 @@ AdPayloadPtr AsapProtocol::maybe_pollute(NodeId src, AdPayloadPtr payload) {
     if (!filter.bit(pos)) filter.toggle(pos);
   }
   ++counters_.polluted_ads;
-  return polluted;
+  // A new payload, so its fold and topic mask describe the stuffed filter.
+  return std::make_shared<const AdPayload>(payload->source, payload->version,
+                                           std::move(filter), payload->topics);
 }
 
 void AsapProtocol::note_readmit(NodeId cacher, NodeId source, Seconds t) {
@@ -195,9 +199,7 @@ void AsapProtocol::deliver_ad(NodeId src, AdKind kind, Seconds when,
   auto visit = [&](NodeId v, Seconds t, std::uint32_t) {
     if (v == src) return search::VisitAction::kContinue;
     // Selective caching: only interested nodes keep the ad (§III-B).
-    if (!topics_overlap(payload->topics, ctx_.model.interests(v))) {
-      return search::VisitAction::kContinue;
-    }
+    if (!interested(v, *payload)) return search::VisitAction::kContinue;
     AdCache& cache = caches_[v];
     switch (kind) {
       case AdKind::kFull: {
@@ -277,9 +279,7 @@ void AsapProtocol::deliver_ad(NodeId src, AdKind kind, Seconds when,
       const auto per_walker = std::max<std::uint64_t>(1, budget / walkers);
       if (params_.interest_bias > 1.0) {
         auto weight = [&](NodeId v) {
-          return topics_overlap(payload->topics, ctx_.model.interests(v))
-                     ? params_.interest_bias
-                     : 1.0;
+          return interested(v, *payload) ? params_.interest_bias : 1.0;
         };
         prop = search::biased_walk(ctx_, src, when,
                                    static_cast<std::uint32_t>(walkers),
@@ -473,15 +473,14 @@ void AsapProtocol::deliver_packed(NodeId src, Seconds when, double scale,
     AdCache& cache = caches_[v];
     for (const FrameEntry& e : entries) {
       // Selective caching per entry, same gate as deliver_ad (§III-B).
-      if (!topics_overlap(e.payload->topics, ctx_.model.interests(v))) {
-        continue;
-      }
+      if (!interested(v, *e.payload)) continue;
       switch (e.kind) {
         case AdKind::kFull: {
           const auto r = cache.put(e.payload, t, ctx_.rng);
           if (r.stored) ASAP_OBS_HOOK(ctx_.obs, on_ad_stored(v));
           if (r.evicted) ASAP_OBS_HOOK(ctx_.obs, on_ad_evicted(v));
           if (r.readmitted) note_readmit(v, src, t);
+          if (r.implausible) note_implausible(v, src, t);
           break;
         }
         case AdKind::kPatch: {
@@ -521,7 +520,8 @@ void AsapProtocol::deliver_packed(NodeId src, Seconds when, double scale,
   };
 
   search::PropagationStats prop;
-  const auto& topics = entries.front().payload->topics;
+  const AdPayload& lead = *entries.front().payload;
+  const auto& topics = lead.topics;
   switch (params_.scheme) {
     case search::Scheme::kFlooding: {
       const auto ttl =
@@ -537,9 +537,7 @@ void AsapProtocol::deliver_packed(NodeId src, Seconds when, double scale,
       const auto per_walker = std::max<std::uint64_t>(1, budget / walkers);
       if (params_.interest_bias > 1.0) {
         auto weight = [&](NodeId v) {
-          return topics_overlap(topics, ctx_.model.interests(v))
-                     ? params_.interest_bias
-                     : 1.0;
+          return interested(v, lead) ? params_.interest_bias : 1.0;
         };
         prop = search::biased_walk(ctx_, src, when,
                                    static_cast<std::uint32_t>(walkers),
@@ -898,6 +896,7 @@ Seconds AsapProtocol::ads_request_phase(
       }
       if (r.evicted) ASAP_OBS_HOOK(ctx_.obs, on_ad_evicted(p));
       if (r.readmitted) note_readmit(p, ad->source, t_back);
+      if (r.implausible) note_implausible(p, ad->source, t_back);
       ASAP_AUDIT_HOOK(ctx_.auditor,
                       on_cache_occupancy(caches_[p].size(),
                                          params_.cache_capacity));

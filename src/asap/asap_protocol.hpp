@@ -275,10 +275,19 @@ class AsapProtocol final : public search::SearchAlgorithm {
   static constexpr AdScheduler::ItemId kBeaconItem = 0;
   static constexpr AdScheduler::ItemId kChangeItem = 1;
 
+  /// True iff node `v` would cache an ad with these topics (selective
+  /// caching, §III-B).
+  bool interested(NodeId v, const AdPayload& ad) const {
+    return (ad.topic_mask & interest_mask_[v]) != 0;
+  }
+
   search::Ctx& ctx_;
   AsapParams params_;
   std::vector<Advertiser> advertisers_;
   std::vector<AdCache> caches_;
+  /// Per node slot: topic_mask_of(model.interests(n)). Interests are fixed
+  /// when the content model is built, so this is computed once.
+  std::vector<TopicMask> interest_mask_;
   std::vector<std::uint8_t> refresh_scheduled_;
   std::vector<AdScheduler> scheds_;  // per node; empty in vanilla mode
   std::vector<AdScheduler::Emission> emissions_scratch_;

@@ -155,13 +155,12 @@ bool SuperpeerAsap::is_polluter(NodeId n) const {
 
 AdPayloadPtr SuperpeerAsap::maybe_pollute(NodeId src, AdPayloadPtr payload) {
   if (!is_polluter(src)) return payload;
-  auto polluted = std::make_shared<AdPayload>(*payload);
   // Phantom bits are a pure function of (source, version) — identical to
   // the flat protocol's scheme — so deliveries are deterministic and no
   // shared RNG stream is consumed.
   SplitMix64 sm(0xC6A4A7935BD1E995ULL ^
                 (static_cast<std::uint64_t>(src) << 32) ^ payload->version);
-  auto& filter = polluted->filter;
+  bloom::BloomFilter filter = payload->filter;
   const std::uint32_t bits = filter.params().bits;
   const std::uint32_t stuff = ctx_.faults->plan().config().pollution_bits;
   for (std::uint32_t i = 0; i < stuff && bits > 0; ++i) {
@@ -169,7 +168,9 @@ AdPayloadPtr SuperpeerAsap::maybe_pollute(NodeId src, AdPayloadPtr payload) {
     if (!filter.bit(pos)) filter.toggle(pos);
   }
   ++counters_.polluted_ads;
-  return polluted;
+  // A new payload, so its fold and topic mask describe the stuffed filter.
+  return std::make_shared<const AdPayload>(payload->source, payload->version,
+                                           std::move(filter), payload->topics);
 }
 
 void SuperpeerAsap::note_readmit(NodeId cacher, NodeId source, Seconds t) {

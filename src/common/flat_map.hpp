@@ -11,6 +11,11 @@
 // unsigned integers and values trivially copyable — everything on the hot
 // paths (NodeId -> slot index, NodeId -> deadline) qualifies, and the
 // restriction is what lets the slab be raw bytes with memcpy copies.
+//
+// An empty slot holds the reserved key ~Key{0} (kInvalidNode for NodeId
+// keys), so a probe reads only the slots themselves — one cache line per
+// lookup in the common case, no side array of occupancy bytes. Inserting
+// the reserved key is rejected in every build type.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +51,9 @@ class FlatMap {
   };
 
  public:
+  /// Marks empty slots; never a valid key.
+  static constexpr Key kEmptyKey = static_cast<Key>(~Key{0});
+
   FlatMap() = default;
 
   FlatMap(const FlatMap& other) { copy_from(other); }
@@ -73,14 +81,15 @@ class FlatMap {
 
   /// Bytes owned by the slab (zero until the first insert).
   std::uint64_t memory_bytes() const {
-    return static_cast<std::uint64_t>(cap_) * (sizeof(Slot) + 1);
+    return static_cast<std::uint64_t>(cap_) * sizeof(Slot);
   }
 
+  /// Never finds kEmptyKey: its probe stops at the first empty slot.
   const Value* find(Key key) const {
     if (size_ == 0) return nullptr;
     const std::uint32_t mask = cap_ - 1;
     std::uint32_t i = home(key, mask);
-    while (used()[i]) {
+    while (slots()[i].key != kEmptyKey) {
       if (slots()[i].key == key) return &slots()[i].val;
       i = (i + 1) & mask;
     }
@@ -91,31 +100,33 @@ class FlatMap {
   }
   bool contains(Key key) const { return find(key) != nullptr; }
 
-  /// Inserts (key, value) if absent; returns true if inserted.
+  /// Inserts (key, value) if absent; returns true if inserted. Throws
+  /// InvariantError for kEmptyKey.
   bool emplace(Key key, Value value) {
+    ASAP_CHECK(key != kEmptyKey);
     reserve_one();
     const std::uint32_t mask = cap_ - 1;
     std::uint32_t i = home(key, mask);
-    while (used()[i]) {
+    while (slots()[i].key != kEmptyKey) {
       if (slots()[i].key == key) return false;
       i = (i + 1) & mask;
     }
-    used()[i] = 1;
     slots()[i] = Slot{key, value};
     ++size_;
     return true;
   }
 
   /// Returns the value for `key`, default-constructing it if absent.
+  /// Throws InvariantError for kEmptyKey.
   Value& operator[](Key key) {
+    ASAP_CHECK(key != kEmptyKey);
     reserve_one();
     const std::uint32_t mask = cap_ - 1;
     std::uint32_t i = home(key, mask);
-    while (used()[i]) {
+    while (slots()[i].key != kEmptyKey) {
       if (slots()[i].key == key) return slots()[i].val;
       i = (i + 1) & mask;
     }
-    used()[i] = 1;
     slots()[i] = Slot{key, Value{}};
     ++size_;
     return slots()[i].val;
@@ -127,7 +138,7 @@ class FlatMap {
     const std::uint32_t mask = cap_ - 1;
     std::uint32_t i = home(key, mask);
     while (true) {
-      if (!used()[i]) return false;
+      if (slots()[i].key == kEmptyKey) return false;
       if (slots()[i].key == key) break;
       i = (i + 1) & mask;
     }
@@ -136,14 +147,14 @@ class FlatMap {
     std::uint32_t j = i;
     while (true) {
       j = (j + 1) & mask;
-      if (!used()[j]) break;
+      if (slots()[j].key == kEmptyKey) break;
       const std::uint32_t h = home(slots()[j].key, mask);
       if (((j - h) & mask) >= ((j - i) & mask)) {
         slots()[i] = slots()[j];
         i = j;
       }
     }
-    used()[i] = 0;
+    slots()[i].key = kEmptyKey;
     --size_;
     return true;
   }
@@ -157,7 +168,7 @@ class FlatMap {
   template <class Fn>
   void for_each(Fn&& fn) const {
     for (std::uint32_t i = 0; i < cap_; ++i) {
-      if (used()[i]) fn(slots()[i].key, slots()[i].val);
+      if (slots()[i].key != kEmptyKey) fn(slots()[i].key, slots()[i].val);
     }
   }
 
@@ -172,22 +183,13 @@ class FlatMap {
   const Slot* slots() const {
     return reinterpret_cast<const Slot*>(mem_.get());
   }
-  std::uint8_t* used() {
-    return reinterpret_cast<std::uint8_t*>(mem_.get() +
-                                           std::size_t{cap_} * sizeof(Slot));
-  }
-  const std::uint8_t* used() const {
-    return reinterpret_cast<const std::uint8_t*>(
-        mem_.get() + std::size_t{cap_} * sizeof(Slot));
-  }
 
   void copy_from(const FlatMap& other) {
     if (other.cap_ == 0) {
       clear();
       return;
     }
-    const std::size_t bytes =
-        std::size_t{other.cap_} * (sizeof(Slot) + 1);
+    const std::size_t bytes = std::size_t{other.cap_} * sizeof(Slot);
     mem_ = std::make_unique<std::byte[]>(bytes);
     std::memcpy(mem_.get(), other.mem_.get(), bytes);
     cap_ = other.cap_;
@@ -202,18 +204,17 @@ class FlatMap {
 
   void rehash(std::uint32_t new_cap) {
     ASAP_DCHECK((new_cap & (new_cap - 1)) == 0);
-    const std::size_t bytes = std::size_t{new_cap} * (sizeof(Slot) + 1);
-    auto fresh = std::make_unique<std::byte[]>(bytes);
+    auto fresh =
+        std::make_unique<std::byte[]>(std::size_t{new_cap} * sizeof(Slot));
     auto* fresh_slots = reinterpret_cast<Slot*>(fresh.get());
-    auto* fresh_used = reinterpret_cast<std::uint8_t*>(
-        fresh.get() + std::size_t{new_cap} * sizeof(Slot));
-    std::memset(fresh_used, 0, new_cap);
+    for (std::uint32_t j = 0; j < new_cap; ++j) {
+      fresh_slots[j].key = kEmptyKey;
+    }
     const std::uint32_t mask = new_cap - 1;
     for (std::uint32_t i = 0; i < cap_; ++i) {
-      if (!used()[i]) continue;
+      if (slots()[i].key == kEmptyKey) continue;
       std::uint32_t j = home(slots()[i].key, mask);
-      while (fresh_used[j]) j = (j + 1) & mask;
-      fresh_used[j] = 1;
+      while (fresh_slots[j].key != kEmptyKey) j = (j + 1) & mask;
       fresh_slots[j] = slots()[i];
     }
     mem_ = std::move(fresh);

@@ -160,6 +160,20 @@ TransitStubNetwork TransitStubNetwork::generate(
     floyd_warshall(dom.dist, s);
   }
   ASAP_CHECK(next_node == net.num_nodes_);
+
+  // --- route records ----------------------------------------------------
+  net.routes_.resize(net.num_nodes_);
+  for (std::uint32_t n = 0; n < t; ++n) net.routes_[n].transit = n;
+  for (std::uint32_t sd = 0; sd < num_sd; ++sd) {
+    const StubDomain& dom = net.stub_domains_[sd];
+    for (std::uint32_t m = 0; m < s; ++m) {
+      Route& r = net.routes_[dom.first_node + m];
+      r.up = static_cast<Seconds>(dom.dist[m * s + dom.gateway]) +
+             params.transit_stub_latency;
+      r.transit = dom.transit;
+      r.domain = sd;
+    }
+  }
   return net;
 }
 
@@ -169,53 +183,14 @@ TransitStubNetwork::NodeKind TransitStubNetwork::kind(PhysNodeId n) const {
 }
 
 PhysNodeId TransitStubNetwork::parent_transit(PhysNodeId n) const {
-  if (n < num_transit_) return n;
-  return stub_domains_[stub_domain_of(n)].transit;
+  ASAP_REQUIRE(n < num_nodes_, "parent_transit requires a network node");
+  return routes_[n].transit;
 }
 
 std::uint32_t TransitStubNetwork::stub_domain_of(PhysNodeId n) const {
   ASAP_REQUIRE(n >= num_transit_ && n < num_nodes_,
                "stub_domain_of requires a stub node");
-  return (n - num_transit_) / stub_size_;
-}
-
-Seconds TransitStubNetwork::latency(PhysNodeId a, PhysNodeId b) const {
-  ASAP_DCHECK(a < num_nodes_ && b < num_nodes_);
-  if (a == b) return 0.0;
-
-  const auto uplink = params_.transit_stub_latency;
-
-  // Distance from a node to "its transit attachment point", plus which
-  // transit node that is. For a transit node that is (0, itself); for a
-  // stub node it is (dist-to-gateway + uplink, parent transit).
-  auto to_transit = [&](PhysNodeId n, std::uint32_t& transit) -> Seconds {
-    if (n < num_transit_) {
-      transit = n;
-      return 0.0;
-    }
-    const StubDomain& dom = stub_domains_[stub_domain_of(n)];
-    const std::uint32_t member = n - dom.first_node;
-    transit = dom.transit;
-    return static_cast<Seconds>(
-               dom.dist[member * stub_size_ + dom.gateway]) +
-           uplink;
-  };
-
-  // Same stub domain: route stays inside the domain.
-  if (a >= num_transit_ && b >= num_transit_) {
-    const std::uint32_t sda = stub_domain_of(a);
-    if (sda == stub_domain_of(b)) {
-      const StubDomain& dom = stub_domains_[sda];
-      const std::uint32_t ma = a - dom.first_node;
-      const std::uint32_t mb = b - dom.first_node;
-      return static_cast<Seconds>(dom.dist[ma * stub_size_ + mb]);
-    }
-  }
-
-  std::uint32_t ta = 0, tb = 0;
-  const Seconds up_a = to_transit(a, ta);
-  const Seconds up_b = to_transit(b, tb);
-  return up_a + static_cast<Seconds>(transit_dist(ta, tb)) + up_b;
+  return routes_[n].domain;
 }
 
 }  // namespace asap::net

@@ -14,14 +14,18 @@
 // does): traffic between different stub domains exits through the stub
 // domain's gateway to its parent transit node, crosses the transit overlay,
 // and descends into the destination stub domain. This lets us answer
-// point-to-point latency queries from three small precomputed tables
-// (per-stub-domain APSP, per-stub-domain gateway distances, transit APSP)
-// instead of an infeasible 52k x 52k matrix.
+// point-to-point latency queries from small precomputed tables
+// (per-stub-domain APSP, transit APSP, and one 16-byte route record per
+// node holding its uplink distance, transit attachment and stub domain)
+// instead of an infeasible 52k x 52k matrix. Every ad-walk hop asks for a
+// latency, so a query is two record loads and one table read — no
+// divisions.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 
@@ -57,7 +61,7 @@ struct TransitStubParams {
 };
 
 /// Immutable transit-stub topology plus O(1) latency queries after an
-/// O(domains * s^3) preprocessing step (s = stub nodes per domain).
+/// O(domains * s^3 + nodes) preprocessing step (s = stub nodes per domain).
 class TransitStubNetwork {
  public:
   enum class NodeKind : std::uint8_t { kTransit, kStub };
@@ -77,12 +81,27 @@ class TransitStubNetwork {
 
   /// One-way propagation latency between any two physical nodes, following
   /// hierarchical routing. latency(a, a) == 0.
-  Seconds latency(PhysNodeId a, PhysNodeId b) const;
+  Seconds latency(PhysNodeId a, PhysNodeId b) const {
+    ASAP_DCHECK(a < num_nodes_ && b < num_nodes_);
+    if (a == b) return 0.0;
+    const Route& ra = routes_[a];
+    const Route& rb = routes_[b];
+    if (ra.domain == rb.domain && ra.domain != kNoDomain) {
+      // Same stub domain: the route stays inside the domain.
+      const StubDomain& dom = stub_domains_[ra.domain];
+      return static_cast<Seconds>(
+          dom.dist[(a - dom.first_node) * stub_size_ + (b - dom.first_node)]);
+    }
+    return ra.up + static_cast<Seconds>(transit_dist(ra.transit, rb.transit)) +
+           rb.up;
+  }
 
   /// Total number of undirected links (for tests / reporting).
   std::uint64_t num_links() const { return num_links_; }
 
  private:
+  friend struct TransitStubTestPeer;  // reference-latency oracle (tests)
+
   TransitStubNetwork() = default;
 
   // --- transit level ---
@@ -100,6 +119,21 @@ class TransitStubNetwork {
   };
   std::vector<StubDomain> stub_domains_;
   std::uint32_t stub_size_ = 0;
+
+  // --- per node ---
+  // Where a node attaches to the transit level: `up` is the distance from
+  // the node to its transit attachment point (member-to-gateway APSP entry
+  // plus the transit-stub uplink; 0 for a transit node), `transit` that
+  // attachment's transit index, `domain` the node's stub domain (kNoDomain
+  // for transit nodes).
+  static constexpr std::uint32_t kNoDomain = ~std::uint32_t{0};
+  struct Route {
+    Seconds up = 0.0;
+    std::uint32_t transit = 0;
+    std::uint32_t domain = kNoDomain;
+  };
+  static_assert(sizeof(Route) <= 16, "one route record per physical node");
+  std::vector<Route> routes_;
 
   std::uint32_t num_nodes_ = 0;
   std::uint64_t num_links_ = 0;

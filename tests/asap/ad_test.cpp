@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
+#include "common/rng.hpp"
+
 namespace asap::ads {
 namespace {
 
@@ -46,6 +49,38 @@ TEST(Ad, TopicsOverlapSemantics) {
   EXPECT_FALSE(topics_overlap({}, {1}));
   EXPECT_FALSE(topics_overlap({}, {}));
   EXPECT_TRUE(topics_overlap({0, 2, 4, 6, 8}, {8}));
+}
+
+TEST(Ad, TopicMasksOverlapExactlyWhenTopicListsDo) {
+  Rng rng(17);
+  const auto random_topics = [&rng] {
+    std::vector<TopicId> t;
+    for (TopicId c = 0; c < trace::kNumClasses; ++c) {
+      if (rng.below(4) == 0) t.push_back(c);
+    }
+    return t;  // ascending == sorted
+  };
+  for (int i = 0; i < 5'000; ++i) {
+    const auto a = random_topics();
+    const auto b = random_topics();
+    EXPECT_EQ((topic_mask_of(a) & topic_mask_of(b)) != 0,
+              topics_overlap(a, b));
+  }
+  EXPECT_EQ(topic_mask_of(std::vector<TopicId>{}), 0u);
+  EXPECT_EQ(topic_mask_of(std::vector<TopicId>{0, 13}), 0x2001u);
+  EXPECT_THROW(topic_mask_of(std::vector<TopicId>{trace::kNumClasses}),
+               ConfigError);
+}
+
+TEST(Ad, PayloadDerivesFoldAndTopicMaskAtConstruction) {
+  bloom::BloomFilter f;
+  for (KeywordId k = 0; k < 40; ++k) f.insert(k * 7);
+  const AdPayload ad(3, 2, f, {1, 4});
+  EXPECT_EQ(ad.fold, f.fold());
+  EXPECT_EQ(ad.topic_mask, topic_mask_of(std::vector<TopicId>{1, 4}));
+  const AdPayload empty(3, 1, bloom::BloomFilter{}, {});
+  EXPECT_EQ(empty.fold, 0u);
+  EXPECT_EQ(empty.topic_mask, 0u);
 }
 
 }  // namespace

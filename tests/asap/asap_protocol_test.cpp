@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "../support/test_world.hpp"
+#include "faults/fault_config.hpp"
+#include "faults/fault_plan.hpp"
+#include "faults/injector.hpp"
+#include "obs/observer.hpp"
 
 namespace asap::ads {
 namespace {
@@ -281,6 +287,116 @@ TEST(AsapProtocol, ZeroCacheCapacityIsAValidAblation) {
   for (NodeId n = 0; n < TestWorld::kNodes; ++n) {
     EXPECT_EQ(algo.cache(n).size(), 0u);
   }
+}
+
+/// The keys a payload derives in its constructor match its content.
+void expect_derived_keys(const AdPayload& ad) {
+  EXPECT_EQ(ad.fold, ad.filter.fold()) << "source " << ad.source;
+  EXPECT_EQ(ad.topic_mask, topic_mask_of(ad.topics)) << "source " << ad.source;
+}
+
+TEST(AsapProtocol, PublishedAndPollutedPayloadsCarryTheirDerivedKeys) {
+  TestWorld w;
+  const auto cfg = faults::fault_preset("polluted").config;
+  const auto plan = faults::FaultPlan::build(
+      cfg, 7, TestWorld::kNodes, std::span<const trace::TraceEvent>{}, 120.0,
+      600.0, w.phys.params().total_stub_domains());
+  faults::FaultInjector injector(plan, w.phys, 7);
+  w.ctx.faults = &injector;
+  AsapProtocol algo(w.ctx, test_params());
+  warm(w, algo);
+  ASSERT_GT(algo.counters().polluted_ads, 0u);
+
+  std::uint64_t polluted_cached = 0;
+  for (NodeId n = 0; n < TestWorld::kNodes; ++n) {
+    const Advertiser& adv = algo.advertiser(n);
+    if (adv.payload()) expect_derived_keys(*adv.payload());
+    if (adv.base_payload()) expect_derived_keys(*adv.base_payload());
+    for (const auto& e : algo.cache(n).entries()) {
+      expect_derived_keys(*e.ad);
+      expect_derived_keys(*e.base);
+      const auto& canonical = algo.advertiser(e.ad->source).payload();
+      if (canonical->version == e.ad->version &&
+          !(canonical->filter == e.ad->filter)) {
+        ++polluted_cached;
+        EXPECT_GT(e.ad->filter.popcount(), canonical->filter.popcount());
+      }
+    }
+  }
+  EXPECT_GT(polluted_cached, 0u) << "stuffed payloads must reach caches";
+}
+
+TEST(AsapProtocol, FillGateStrikesOncePerStuffedArrivalOnEveryIngestPath) {
+  // A gate below every honest fill makes every nonempty ad stuffed, so
+  // each full-ad arrival must earn exactly one implausible trust strike —
+  // by walk, by packed frame and by ads reply alike. With no queries and
+  // no confirms, strikes and stored puts then count the same arrivals.
+  TestWorld w;
+  obs::RunObserver observer{obs::ObsConfig{}};
+  w.ctx.obs = &observer;
+  auto params = test_params();
+  params.ad_mode = AdMode::kAdaptive;
+  params.trust_enabled = true;
+  params.trust_fill_gate = 1e-6;
+  params.patch_to_full_threshold = 0;  // every change ships as a full ad
+  AsapProtocol algo(w.ctx, params);
+  warm(w, algo);
+  const auto& totals = observer.counters().totals();
+  ASSERT_GT(totals.ads_stored, 0u);
+  EXPECT_EQ(totals.trust_strikes, totals.ads_stored) << "walk deliveries";
+
+  // Packed frame: a content change ships a full ad in the sharer's next
+  // ad round.
+  const NodeId sharer = w.a_sharer();
+  Rng mint_rng(5);
+  auto& model = const_cast<trace::ContentModel&>(w.model);
+  const DocId fresh =
+      model.mint_document(w.model.interests(sharer).front(), mint_rng);
+  trace::TraceEvent change;
+  change.type = trace::TraceEventType::kAddDoc;
+  change.time = 130.0;
+  change.node = sharer;
+  change.doc = fresh;
+  w.live.apply(change, w.model);
+  const auto stored_before = totals.ads_stored;
+  const auto strikes_before = totals.trust_strikes;
+  const auto frames_before = algo.counters().packed_frames;
+  algo.on_trace_event(change);
+  w.engine.run_until(400.0);
+  ASSERT_GT(algo.counters().packed_frames, frames_before);
+  ASSERT_GT(totals.ads_stored, stored_before) << "the frame reached cachers";
+  EXPECT_EQ(totals.trust_strikes - strikes_before,
+            totals.ads_stored - stored_before)
+      << "packed-frame deliveries";
+
+  // Ads reply: a joiner's warm-up request merges its neighbors' cached
+  // (stuffed) ads into its own cache.
+  NodeId joiner = kInvalidNode;
+  for (NodeId n = TestWorld::kNodes;
+       n < TestWorld::kNodes + TestWorld::kJoiners; ++n) {
+    if (!w.model.joiner_docs(n).empty()) {
+      joiner = n;
+      break;
+    }
+  }
+  ASSERT_NE(joiner, kInvalidNode);
+  trace::TraceEvent join;
+  join.type = trace::TraceEventType::kJoin;
+  join.time = 410.0;
+  join.node = joiner;
+  for (NodeId n = TestWorld::kNodes; n <= joiner; ++n) {
+    w.overlay.attach_new(4, w.rng);
+  }
+  w.live.apply(join, w.model);
+  w.index.apply(join, w.model);
+  algo.on_trace_event(join);
+  ASSERT_LT(joiner, observer.counters().nodes().size());
+  const auto& row = observer.counters().nodes()[joiner];
+  ASSERT_GT(row.ads_stored, 0u) << "the ads reply reached the joiner";
+  EXPECT_EQ(row.trust_strikes, row.ads_stored) << "ads-reply deliveries";
+
+  EXPECT_EQ(algo.counters().trust_strikes, totals.trust_strikes);
+  EXPECT_EQ(totals.trust_strikes, totals.ads_stored);
 }
 
 TEST(AsapProtocol, PaperPresetMatchesPaperParameters) {

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "../support/test_world.hpp"
+#include "faults/fault_config.hpp"
+#include "faults/fault_plan.hpp"
+#include "faults/injector.hpp"
 
 namespace asap::ads {
 namespace {
@@ -182,6 +187,30 @@ TEST(SuperpeerAsap, RejectsBadParams) {
   p = test_params();
   p.budget_unit_m0 = 0;
   EXPECT_THROW(SuperpeerAsap(w.ctx, p), ConfigError);
+}
+
+TEST(SuperpeerAsap, PollutedPayloadsCarryTheirDerivedKeys) {
+  // maybe_pollute builds a new payload from the stuffed filter, so its
+  // fold and topic mask describe what the superpeers actually cache.
+  TestWorld w;
+  const auto cfg = faults::fault_preset("polluted").config;
+  const auto plan = faults::FaultPlan::build(
+      cfg, 7, TestWorld::kNodes, std::span<const trace::TraceEvent>{}, 120.0,
+      600.0, w.phys.params().total_stub_domains());
+  faults::FaultInjector injector(plan, w.phys, 7);
+  w.ctx.faults = &injector;
+  SuperpeerAsap algo(w.ctx, test_params());
+  warm(w, algo);
+  ASSERT_GT(algo.counters().polluted_ads, 0u);
+  std::uint64_t checked = 0;
+  for (NodeId n = 0; n < TestWorld::kNodes; ++n) {
+    for (const auto& e : algo.cache(n).entries()) {
+      EXPECT_EQ(e.ad->fold, e.ad->filter.fold());
+      EXPECT_EQ(e.ad->topic_mask, topic_mask_of(e.ad->topics));
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 
@@ -121,6 +122,27 @@ TEST(FlatMap, ClearReleasesTheSlab) {
   EXPECT_EQ(m.find(3u), nullptr);
   m[3] = 9;
   EXPECT_EQ(*m.find(3u), 9u);
+}
+
+TEST(FlatMap, RejectsTheReservedEmptyKey) {
+  // ~Key{0} marks empty slots, so it can never be stored. The check is an
+  // ASAP_CHECK, not a DCHECK: it throws in Release builds too.
+  static_assert(FlatMap<NodeId, std::uint32_t>::kEmptyKey == kInvalidNode);
+  FlatMap<NodeId, std::uint32_t> m;
+  EXPECT_THROW(m.emplace(kInvalidNode, 1), InvariantError);
+  EXPECT_THROW(m[kInvalidNode], InvariantError);
+  EXPECT_EQ(m.size(), 0u);
+  m[kInvalidNode - 1] = 2;  // the largest storable key
+  EXPECT_EQ(*m.find(kInvalidNode - 1), 2u);
+  EXPECT_EQ(m.find(kInvalidNode), nullptr);
+  EXPECT_FALSE(m.erase(kInvalidNode));
+  EXPECT_THROW(m.emplace(kInvalidNode, 3), InvariantError);
+  EXPECT_EQ(m.size(), 1u);
+
+  FlatSet<std::uint64_t> s;
+  EXPECT_THROW(s.insert(~std::uint64_t{0}), InvariantError);
+  EXPECT_TRUE(s.insert(0));  // zero is an ordinary key
+  EXPECT_FALSE(s.contains(~std::uint64_t{0}));
 }
 
 TEST(FlatSet, AgreesWithUnorderedSetOracle) {

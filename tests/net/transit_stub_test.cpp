@@ -8,7 +8,93 @@
 #include "common/rng.hpp"
 
 namespace asap::net {
+
+/// Test-only window onto the generator's raw tables.
+struct TransitStubTestPeer {
+  /// Reference latency: the hierarchical computation the per-node route
+  /// table replaced, evaluated straight from the APSP tables with the
+  /// divisions and the evaluation order it always used.
+  static Seconds reference_latency(const TransitStubNetwork& net,
+                                   PhysNodeId a, PhysNodeId b) {
+    if (a == b) return 0.0;
+    const auto uplink = net.params_.transit_stub_latency;
+    const auto domain_of = [&](PhysNodeId n) {
+      return (n - net.num_transit_) / net.stub_size_;
+    };
+    auto to_transit = [&](PhysNodeId n, std::uint32_t& transit) -> Seconds {
+      if (n < net.num_transit_) {
+        transit = n;
+        return 0.0;
+      }
+      const auto& dom = net.stub_domains_[domain_of(n)];
+      const std::uint32_t member = n - dom.first_node;
+      transit = dom.transit;
+      return static_cast<Seconds>(
+                 dom.dist[member * net.stub_size_ + dom.gateway]) +
+             uplink;
+    };
+    if (a >= net.num_transit_ && b >= net.num_transit_) {
+      const std::uint32_t sda = domain_of(a);
+      if (sda == domain_of(b)) {
+        const auto& dom = net.stub_domains_[sda];
+        const std::uint32_t ma = a - dom.first_node;
+        const std::uint32_t mb = b - dom.first_node;
+        return static_cast<Seconds>(dom.dist[ma * net.stub_size_ + mb]);
+      }
+    }
+    std::uint32_t ta = 0, tb = 0;
+    const Seconds up_a = to_transit(a, ta);
+    const Seconds up_b = to_transit(b, tb);
+    return up_a + static_cast<Seconds>(net.transit_dist(ta, tb)) + up_b;
+  }
+};
+
 namespace {
+
+/// Bit-identity of the route-table latency against the reference: every
+/// transit pair, every pair inside a spread of stub domains, and `random`
+/// seeded random pairs. EXPECT_EQ on the double, not DOUBLE_EQ: a single
+/// ulp of drift would move every downstream digest.
+void expect_latency_matches_reference(const TransitStubParams& p,
+                                      std::uint64_t seed,
+                                      std::uint32_t random) {
+  Rng rng(seed);
+  const auto net = TransitStubNetwork::generate(p, rng);
+  const auto check = [&net](PhysNodeId a, PhysNodeId b) {
+    ASSERT_EQ(net.latency(a, b),
+              TransitStubTestPeer::reference_latency(net, a, b))
+        << "a=" << a << " b=" << b;
+  };
+  const std::uint32_t t = p.total_transit_nodes();
+  for (PhysNodeId a = 0; a < t; ++a) {
+    for (PhysNodeId b = 0; b < t; ++b) check(a, b);
+  }
+  const std::uint32_t s = p.stub_nodes_per_domain;
+  const std::uint32_t domains = p.total_stub_domains();
+  for (const std::uint32_t sd :
+       {0U, 1U, domains / 3, domains / 2, domains - 2, domains - 1}) {
+    const PhysNodeId first = t + sd * s;
+    for (PhysNodeId a = first; a < first + s; ++a) {
+      for (PhysNodeId b = first; b < first + s; ++b) check(a, b);
+      check(a, sd % t);  // stub member to a transit node, both directions
+      check(sd % t, a);
+    }
+  }
+  Rng pick(seed ^ 0x5EEDULL);
+  for (std::uint32_t i = 0; i < random; ++i) {
+    const auto a = static_cast<PhysNodeId>(pick.below(net.num_nodes()));
+    const auto b = static_cast<PhysNodeId>(pick.below(net.num_nodes()));
+    check(a, b);
+  }
+}
+
+TEST(TransitStubNetwork, LatencyMatchesReferenceOnSmallPreset) {
+  expect_latency_matches_reference(TransitStubParams::small(), 11, 100'000);
+}
+
+TEST(TransitStubNetwork, LatencyMatchesReferenceOnPaperPreset) {
+  expect_latency_matches_reference(TransitStubParams::paper(), 42, 200'000);
+}
 
 TransitStubParams tiny_params() {
   TransitStubParams p;

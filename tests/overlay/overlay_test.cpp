@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "common/error.hpp"
@@ -201,16 +202,18 @@ TEST(Overlay, ReattachRestoresNodeWithFreshEdges) {
   EXPECT_THROW(g.reattach(10'000, 4, rng), ConfigError);
 }
 
-// Degree histogram sanity across all three generators.
+// Degree histogram sanity across all three generators. The kind is a
+// std::string, not a const char*: gtest prints a pointer parameter with its
+// address, which would make the printed case name change from run to run.
 class OverlayGeneratorTest
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(OverlayGeneratorTest, HistogramTotalsMatchNodeCount) {
   Rng rng(13);
-  const auto [kind, mean] = GetParam();
-  Overlay g = std::string(kind) == "random"
+  const auto& [kind, mean] = GetParam();
+  Overlay g = kind == "random"
                   ? Overlay::random(1'000, mean, rng)
-                  : std::string(kind) == "powerlaw"
+                  : kind == "powerlaw"
                         ? Overlay::powerlaw(1'000, mean, 0.74, rng)
                         : Overlay::crawled_like(1'000, mean, rng);
   const auto hist = g.degree_histogram();
@@ -225,9 +228,9 @@ TEST_P(OverlayGeneratorTest, HistogramTotalsMatchNodeCount) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllGenerators, OverlayGeneratorTest,
-    ::testing::Values(std::make_tuple("random", 5.0),
-                      std::make_tuple("powerlaw", 5.0),
-                      std::make_tuple("crawled", 3.35)));
+    ::testing::Values(std::make_tuple(std::string("random"), 5.0),
+                      std::make_tuple(std::string("powerlaw"), 5.0),
+                      std::make_tuple(std::string("crawled"), 3.35)));
 
 }  // namespace
 }  // namespace asap::overlay
