@@ -33,7 +33,7 @@ using asap::NodeId;
 using asap::Rng;
 using asap::TopicId;
 using asap::ads::AdCache;
-using asap::ads::AdPayload;
+using asap::ads::make_payload;
 using asap::bloom::BloomFilter;
 using asap::bloom::BloomParams;
 using asap::bloom::HashedQuery;
@@ -63,9 +63,9 @@ Workload build_workload(std::size_t entries, bool hits, std::uint64_t seed) {
       ad_keys[e].push_back(static_cast<KeywordId>(rng.below(kAdKeyPool)));
       f.insert(ad_keys[e].back());
     }
-    w.cache.put(std::make_shared<const AdPayload>(
-                    static_cast<NodeId>(e), 1u, std::move(f),
-                    std::vector<TopicId>{static_cast<TopicId>(rng.below(8))}),
+    w.cache.put(make_payload(static_cast<NodeId>(e), 1u, std::move(f),
+                             std::vector<TopicId>{
+                                 static_cast<TopicId>(rng.below(8))}),
                 1.0, rng);
   }
   for (int q = 0; q < kQueries; ++q) {

@@ -18,6 +18,13 @@ const char* ad_kind_name(AdKind k) {
   return "?";
 }
 
+AdPayloadPtr make_payload(NodeId source, std::uint32_t version,
+                          bloom::BloomFilter filter,
+                          std::vector<TopicId> topics) {
+  return AdPayloadPtr(
+      new AdPayload(source, version, std::move(filter), std::move(topics)));
+}
+
 Bytes full_ad_bytes(const AdPayload& ad, const sim::SizeModel& sizes) {
   return sizes.ad_header + ad.topics.size() + ad.filter.wire_bytes();
 }

@@ -10,7 +10,7 @@ namespace asap::ads {
 AdCache::AdCache(std::uint32_t capacity) : capacity_(capacity) {}
 
 std::uint64_t AdCache::prefilter_for(const AdPayload& ad) const {
-  if (ad.filter.params() != canonical_) return ~0ULL;
+  if (ad.filter.params() != kCanonical) return ~0ULL;
   return ad.fold;
 }
 
@@ -49,7 +49,32 @@ void AdCache::set_payload(std::size_t idx, const AdPayloadPtr& ad) {
   fold_count_remove(prefilter_[idx]);
   fold_count_add(pre);
   prefilter_[idx] = pre;
-  entries_[idx].ad = ad;
+  records_[idx].ad = ad;
+}
+
+void AdCache::advance(std::size_t idx, const AdPayload* stored_base,
+                      const AdPayloadPtr& next) {
+  const AdPayloadPtr& ad = records_[idx].ad;
+  if (stored_base == nullptr) {
+    // The current ad is the base; the side map takes its reference
+    // before set_payload drops the record's.
+    if (ad != next) bases_.set(ad->source, ad);
+  } else if (stored_base == next.get()) {
+    bases_.erase(ad->source);  // back at the base: no separate copy
+  }
+  set_payload(idx, next);
+}
+
+void AdCache::reserve_one() {
+  const std::size_t cap = records_.capacity();
+  if (records_.size() < cap) return;
+  const std::size_t grown = std::min<std::size_t>(
+      capacity_, std::max<std::size_t>(1, 2 * cap));
+  ASAP_DCHECK(grown > cap);
+  records_.reserve(grown);
+  auto words = std::make_unique_for_overwrite<std::uint64_t[]>(grown);
+  std::copy_n(prefilter_.get(), records_.size(), words.get());
+  prefilter_ = std::move(words);
 }
 
 AdCache::PutResult AdCache::put(const AdPayloadPtr& ad, double now,
@@ -87,49 +112,40 @@ AdCache::PutResult AdCache::put(const AdPayloadPtr& ad, double now,
   }
   if (const std::uint32_t* idxp = pos_.find(src)) {
     const std::uint32_t idx = *idxp;
-    Entry& entry = entries_[idx];
+    Record& rec = records_[idx];
     PutResult r;
     r.implausible = implausible;
-    if (entry.ad == ad && entry.base == ad) {
-      // Revisit: the entry already holds this payload as ad and base (ad
-      // walks revisit nodes; this is most puts). The branch below would
-      // reassign both pointers to themselves and swap the prefilter word
-      // for an identical one, so only its effect on the strikes remains.
-      entry.timeout_strikes = 0;
-      r.stored = true;
-    } else if (ad->version >= entry.ad->version) {
+    if (rec.ad == ad || ad->version >= rec.ad->version) {
       // Never downgrade to an older version (late full ads can race a
-      // newer patch). A full ad is also the new delta base.
-      entry.base = ad;
-      set_payload(idx, ad);
-      // A fresh ad is evidence the source is alive and advertising.
-      entry.timeout_strikes = 0;
+      // newer patch). A full ad is also the new delta base, and evidence
+      // the source is alive and advertising. An ad walk revisiting a node
+      // redelivers the payload the entry holds (most puts); its record
+      // and prefilter word then stay as they are.
+      bases_.erase(src);
+      if (rec.ad != ad) set_payload(idx, ad);
+      strikes_.erase(src);
       r.stored = true;
     }
     // The gate's verdict is about the source, not this ad instance: even
     // a stale stuffed delivery collapses the entry's trust.
-    if (implausible) entry.trust = 0.0;
-    entry.touch = now;
+    if (implausible && trust_enabled_) standing_[src].trust = 0.0;
+    rec.touch = now;
     return r;
   }
   PutResult r;
   r.readmitted = readmitted;
   r.implausible = implausible;
-  if (entries_.size() >= capacity_) {
+  if (records_.size() >= capacity_) {
     evict_one(rng);
     r.evicted = true;
   }
-  pos_.emplace(src, static_cast<std::uint32_t>(entries_.size()));
+  pos_.emplace(src, static_cast<std::uint32_t>(records_.size()));
   const std::uint64_t pre = prefilter_for(*ad);
   fold_count_add(pre);
-  sources_.push_back(src);
-  Entry entry;
-  entry.ad = ad;
-  entry.base = ad;
-  entry.touch = now;
-  if (implausible) entry.trust = 0.0;
-  entries_.push_back(std::move(entry));
-  prefilter_.push_back(pre);
+  reserve_one();
+  prefilter_[records_.size()] = pre;
+  records_.push_back(Record{ad, now});
+  if (implausible && trust_enabled_) standing_[src].trust = 0.0;
   r.stored = true;
   return r;
 }
@@ -139,13 +155,14 @@ UpdateOutcome AdCache::apply_patch(NodeId source, std::uint32_t base_version,
   const std::uint32_t* idxp = pos_.find(source);
   if (idxp == nullptr) return UpdateOutcome::kMissing;
   const std::uint32_t idx = *idxp;
-  auto& entry = entries_[idx];
-  if (entry.ad->version == base_version) {
-    set_payload(idx, next);
-    entry.touch = now;
+  Record& rec = records_[idx];
+  if (rec.ad->version == base_version) {
+    ASAP_DCHECK(next->source == source);
+    advance(idx, bases_.get(source), next);
+    rec.touch = now;
     return UpdateOutcome::kApplied;
   }
-  if (entry.ad->version >= next->version) return UpdateOutcome::kIgnoredStale;
+  if (rec.ad->version >= next->version) return UpdateOutcome::kIgnoredStale;
   erase_at(idx);  // stale beyond repair
   return UpdateOutcome::kInvalidated;
 }
@@ -155,12 +172,12 @@ UpdateOutcome AdCache::on_refresh(NodeId source, std::uint32_t version,
   const std::uint32_t* idxp = pos_.find(source);
   if (idxp == nullptr) return UpdateOutcome::kMissing;
   const std::uint32_t idx = *idxp;
-  auto& entry = entries_[idx];
-  if (entry.ad->version == version) {
-    entry.touch = now;
+  Record& rec = records_[idx];
+  if (rec.ad->version == version) {
+    rec.touch = now;
     return UpdateOutcome::kApplied;
   }
-  if (entry.ad->version < version) {
+  if (rec.ad->version < version) {
     erase_at(idx);
     return UpdateOutcome::kInvalidated;
   }
@@ -174,20 +191,23 @@ UpdateOutcome AdCache::apply_delta(NodeId source,
   const std::uint32_t* idxp = pos_.find(source);
   if (idxp == nullptr) return UpdateOutcome::kMissing;
   const std::uint32_t idx = *idxp;
-  auto& entry = entries_[idx];
-  if (entry.ad->version >= next->version) return UpdateOutcome::kIgnoredStale;
-  if (entry.base && entry.base->version == base_full_version) {
+  Record& rec = records_[idx];
+  if (rec.ad->version >= next->version) return UpdateOutcome::kIgnoredStale;
+  const AdPayload* stored_base = bases_.get(source);
+  const AdPayload& base = stored_base != nullptr ? *stored_base : *rec.ad;
+  if (base.version == base_full_version) {
 #ifdef ASAP_AUDIT_FORCE_ON
     // Oracle: the toggles really do rebuild `next` from the remembered
     // base — the wire body and the canonical payload must agree.
-    bloom::BloomFilter rebuilt = entry.base->filter;
+    bloom::BloomFilter rebuilt = base.filter;
     for (const auto p : toggles) rebuilt.toggle(p);
     ASAP_CHECK(rebuilt == next->filter);
 #else
     (void)toggles;
 #endif
-    set_payload(idx, next);
-    entry.touch = now;
+    ASAP_DCHECK(next->source == source);
+    advance(idx, stored_base, next);
+    rec.touch = now;
     return UpdateOutcome::kApplied;
   }
   erase_at(idx);  // base lost or mismatched: re-learn from a full ad
@@ -212,56 +232,70 @@ bool AdCache::readmit_blocked(NodeId source, double now) const {
 }
 
 void AdCache::erase_at(std::size_t idx) {
-  ASAP_DCHECK(idx < entries_.size());
+  ASAP_DCHECK(idx < records_.size());
+  const NodeId src = records_[idx].ad->source;
   fold_count_remove(prefilter_[idx]);
-  pos_.erase(sources_[idx]);
-  const std::size_t last = entries_.size() - 1;
+  pos_.erase(src);
+  // A re-admitted source starts fresh, like a new entry.
+  bases_.erase(src);
+  strikes_.erase(src);
+  standing_.erase(src);
+  const std::size_t last = records_.size() - 1;
   if (idx != last) {
-    // Swap-with-back across every parallel array, then repoint the moved
-    // source's index — the arrays and pos_ must never disagree.
-    sources_[idx] = sources_[last];
-    entries_[idx] = std::move(entries_[last]);
+    // Swap-with-back across both arrays, then repoint the moved source's
+    // index — the arrays and pos_ must never disagree.
+    records_[idx] = std::move(records_[last]);
     prefilter_[idx] = prefilter_[last];
-    pos_[sources_[idx]] = static_cast<std::uint32_t>(idx);
+    pos_[records_[idx].ad->source] = static_cast<std::uint32_t>(idx);
   }
-  sources_.pop_back();
-  entries_.pop_back();
-  prefilter_.pop_back();
+  records_.pop_back();
 }
 
-const AdCache::Entry* AdCache::find(NodeId source) const {
+AdCache::Entry AdCache::entry_at(std::size_t idx) const {
+  const Record& rec = records_[idx];
+  const NodeId src = rec.ad->source;
+  AdPayloadPtr base = bases_.find(src);
+  if (!base) base = rec.ad;
+  const std::uint32_t* strikes = strikes_.find(src);
+  const Standing* standing = standing_.find(src);
+  const Standing st = standing != nullptr ? *standing : Standing{};
+  return Entry{rec.ad, std::move(base), rec.touch,
+               strikes != nullptr ? *strikes : 0, st.trust,
+               st.strike_chain_end};
+}
+
+std::optional<AdCache::Entry> AdCache::find(NodeId source) const {
   const std::uint32_t* idxp = pos_.find(source);
-  return idxp == nullptr ? nullptr : &entries_[*idxp];
+  if (idxp == nullptr) return std::nullopt;
+  return entry_at(*idxp);
 }
 
 void AdCache::touch(NodeId source, double now) {
   const std::uint32_t* idxp = pos_.find(source);
-  if (idxp != nullptr) entries_[*idxp].touch = now;
+  if (idxp != nullptr) records_[*idxp].touch = now;
 }
 
 std::uint32_t AdCache::record_timeout(NodeId source) {
-  const std::uint32_t* idxp = pos_.find(source);
-  if (idxp == nullptr) return 0;
-  return ++entries_[*idxp].timeout_strikes;
+  if (!pos_.contains(source)) return 0;
+  return ++strikes_[source];
 }
 
-void AdCache::reset_timeouts(NodeId source) {
-  const std::uint32_t* idxp = pos_.find(source);
-  if (idxp != nullptr) entries_[*idxp].timeout_strikes = 0;
-}
+void AdCache::reset_timeouts(NodeId source) { strikes_.erase(source); }
 
 std::uint32_t AdCache::record_timeout(NodeId source, double chain_start,
                                       double chain_end) {
-  const std::uint32_t* idxp = pos_.find(source);
-  if (idxp == nullptr) return 0;
-  Entry& entry = entries_[*idxp];
-  if (strike_per_chain_ && chain_start < entry.strike_chain_end) {
-    // This chain overlaps the one that produced the last counted strike:
-    // same evidence window, no double-count.
-    return entry.timeout_strikes;
+  if (!pos_.contains(source)) return 0;
+  if (strike_per_chain_) {
+    Standing& st = standing_[source];
+    if (chain_start < st.strike_chain_end) {
+      // This chain overlaps the one that produced the last counted
+      // strike: same evidence window, no double-count.
+      const std::uint32_t* strikes = strikes_.find(source);
+      return strikes != nullptr ? *strikes : 0;
+    }
+    st.strike_chain_end = chain_end;
   }
-  entry.strike_chain_end = chain_end;
-  return ++entry.timeout_strikes;
+  return ++strikes_[source];
 }
 
 void AdCache::set_trust_params(double reward, double decay, double threshold,
@@ -273,27 +307,31 @@ void AdCache::set_trust_params(double reward, double decay, double threshold,
   quarantine_backoff_ = backoff;
 }
 
+// Standing marks exist only for cached sources (erase_at drops them), so
+// a source without one is either uncached or at the defaults.
 double AdCache::trust_of(NodeId source) const {
   if (!trust_enabled_) return 1.0;
-  const std::uint32_t* idxp = pos_.find(source);
-  return idxp == nullptr ? 1.0 : entries_[*idxp].trust;
+  const Standing* st = standing_.find(source);
+  return st == nullptr ? 1.0 : st->trust;
 }
 
 void AdCache::record_reward(NodeId source) {
   if (!trust_enabled_) return;
-  const std::uint32_t* idxp = pos_.find(source);
-  if (idxp == nullptr) return;
-  Entry& entry = entries_[*idxp];
-  entry.trust += trust_reward_ * (1.0 - entry.trust);
+  // Full trust is the reward's fixed point: only a mark can move.
+  if (Standing* st = standing_.find(source)) {
+    st->trust += trust_reward_ * (1.0 - st->trust);
+  }
 }
 
 bool AdCache::record_strike(NodeId source, double now) {
   if (!trust_enabled_) return false;
-  const std::uint32_t* idxp = pos_.find(source);
-  if (idxp == nullptr) return false;
-  Entry& entry = entries_[*idxp];
-  entry.trust *= trust_decay_;
-  if (entry.trust >= trust_threshold_) return false;
+  Standing* st = standing_.find(source);
+  if (st == nullptr) {
+    if (!pos_.contains(source)) return false;
+    st = &standing_[source];
+  }
+  st->trust *= trust_decay_;
+  if (st->trust >= trust_threshold_) return false;
   quarantine_source(source, now);
   return true;
 }
@@ -318,34 +356,34 @@ bool AdCache::quarantined(NodeId source, double now) const {
 }
 
 std::uint64_t AdCache::memory_bytes() const {
-  return sources_.capacity() * sizeof(NodeId) +
-         entries_.capacity() * sizeof(Entry) +
-         prefilter_.capacity() * sizeof(std::uint64_t) +
+  return records_.capacity() * (sizeof(Record) + sizeof(std::uint64_t)) +
          (fold_count_ ? sizeof(*fold_count_) : 0) + pos_.memory_bytes() +
-         struck_.memory_bytes() + quar_.memory_bytes();
+         bases_.memory_bytes() + strikes_.memory_bytes() +
+         standing_.memory_bytes() + struck_.memory_bytes() +
+         quar_.memory_bytes();
 }
 
 void AdCache::evict_one(Rng& rng) {
-  if (entries_.empty()) return;
+  if (records_.empty()) return;
   // Sampled LRU: evict the stalest of up to 8 random entries.
   constexpr std::size_t kSamples = 8;
-  if (entries_.size() <= kSamples) {
+  if (records_.size() <= kSamples) {
     // The sample budget covers the whole cache: scan it exactly. Random
     // sampling here would draw duplicates and could miss the true LRU
     // entry (and would burn RNG draws for nothing).
     std::size_t victim = 0;
-    for (std::size_t idx = 1; idx < entries_.size(); ++idx) {
-      if (entries_[idx].touch < entries_[victim].touch) victim = idx;
+    for (std::size_t idx = 1; idx < records_.size(); ++idx) {
+      if (records_[idx].touch < records_[victim].touch) victim = idx;
     }
     erase_at(victim);
     return;
   }
-  std::size_t victim = rng.below(entries_.size());
-  double oldest = entries_[victim].touch;
+  std::size_t victim = rng.below(records_.size());
+  double oldest = records_[victim].touch;
   for (std::size_t s = 1; s < kSamples; ++s) {
-    const std::size_t idx = rng.below(entries_.size());
-    if (entries_[idx].touch < oldest) {
-      oldest = entries_[idx].touch;
+    const std::size_t idx = rng.below(records_.size());
+    if (records_[idx].touch < oldest) {
+      oldest = records_[idx].touch;
       victim = idx;
     }
   }
@@ -356,8 +394,8 @@ void AdCache::collect_matches(std::span<const KeywordId> terms,
                               std::vector<AdPayloadPtr>& out) const {
   out.clear();
   if (terms.empty()) return;
-  for (const Entry& entry : entries_) {
-    if (entry.ad->filter.contains_all(terms)) out.push_back(entry.ad);
+  for (const Record& rec : records_) {
+    if (rec.ad->filter.contains_all(terms)) out.push_back(rec.ad);
   }
 }
 
@@ -368,21 +406,21 @@ void AdCache::collect_for_reply(std::span<const KeywordId> terms,
                                 std::vector<AdPayloadPtr>& out) const {
   out.clear();
   // Pass 1: ads that already satisfy the query terms.
-  for (const Entry& entry : entries_) {
+  for (const Record& rec : records_) {
     if (out.size() >= max_ads) return;
-    if (!terms.empty() && entry.ad->filter.contains_all(terms)) {
-      out.push_back(entry.ad);
+    if (!terms.empty() && rec.ad->filter.contains_all(terms)) {
+      out.push_back(rec.ad);
     }
   }
   // Pass 2: up to max_topical ads topically relevant to the requester.
   std::uint32_t topical = 0;
-  for (const Entry& entry : entries_) {
+  for (const Record& rec : records_) {
     if (out.size() >= max_ads || topical >= max_topical) return;
-    if (!terms.empty() && entry.ad->filter.contains_all(terms)) {
+    if (!terms.empty() && rec.ad->filter.contains_all(terms)) {
       continue;  // already included
     }
-    if (topics_overlap(entry.ad->topics, interests)) {
-      out.push_back(entry.ad);
+    if (topics_overlap(rec.ad->topics, interests)) {
+      out.push_back(rec.ad);
       ++topical;
     }
   }
@@ -428,7 +466,7 @@ std::size_t AdCache::order_terms(
 
 bool AdCache::entry_matches(std::size_t idx, const bloom::HashedQuery& query,
                             std::span<const std::uint8_t> order) const {
-  const bloom::BloomFilter& filter = entries_[idx].ad->filter;
+  const bloom::BloomFilter& filter = records_[idx].ad->filter;
   if (filter.params() != query.params()) {
     return filter.contains_all(query.terms());
   }
@@ -454,10 +492,10 @@ void AdCache::collect_matches(const bloom::HashedQuery& query,
     const std::size_t ordered = order_terms(query, order_buf);
     const std::span<const std::uint8_t> order{order_buf.data(), ordered};
     const std::uint64_t need = query.fold_mask_all();
-    const bool prefilter_ok = query.params() == canonical_;
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const bool prefilter_ok = query.params() == kCanonical;
+    for (std::size_t i = 0; i < records_.size(); ++i) {
       if (prefilter_ok && (prefilter_[i] & need) != need) continue;
-      if (entry_matches(i, query, order)) out.push_back(entries_[i].ad);
+      if (entry_matches(i, query, order)) out.push_back(records_[i].ad);
     }
   }
 #ifdef ASAP_AUDIT_FORCE_ON
@@ -479,29 +517,29 @@ void AdCache::collect_for_reply(const bloom::HashedQuery& query,
   const std::size_t ordered = order_terms(query, order_buf);
   const std::span<const std::uint8_t> order{order_buf.data(), ordered};
   const std::uint64_t need = query.fold_mask_all();
-  const bool prefilter_ok = query.params() == canonical_;
+  const bool prefilter_ok = query.params() == kCanonical;
   const auto matches = [&](std::size_t i) {
     if (prefilter_ok && (prefilter_[i] & need) != need) return false;
     return entry_matches(i, query, order);
   };
   // Pass 1: ads that already satisfy the query terms.
   bool truncated = false;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
+  for (std::size_t i = 0; i < records_.size(); ++i) {
     if (out.size() >= max_ads) {
       truncated = true;
       break;
     }
-    if (!query.empty() && matches(i)) out.push_back(entries_[i].ad);
+    if (!query.empty() && matches(i)) out.push_back(records_[i].ad);
   }
   // Pass 2: up to max_topical ads topically relevant to the requester.
   if (!truncated) {
     const TopicMask wanted = topic_mask_of(interests);
     std::uint32_t topical = 0;
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
+    for (std::size_t i = 0; i < records_.size(); ++i) {
       if (out.size() >= max_ads || topical >= max_topical) break;
       if (!query.empty() && matches(i)) continue;  // already included
-      if ((entries_[i].ad->topic_mask & wanted) != 0) {
-        out.push_back(entries_[i].ad);
+      if ((records_[i].ad->topic_mask & wanted) != 0) {
+        out.push_back(records_[i].ad);
         ++topical;
       }
     }

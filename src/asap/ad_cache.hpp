@@ -5,10 +5,16 @@
 // O(1) approximation that avoids both full scans and heavyweight intrusive
 // lists — important because ad deliveries generate millions of inserts.
 //
-// Storage is structure-of-arrays: `sources_`, `entries_` and `prefilter_`
-// are index-aligned, with `pos_` — an open-addressing FlatMap, 16 bytes
-// when empty — mapping source → index. An empty cache costs well under
-// 200 bytes, which is what lets a million-node world keep one per peer. The scan path
+// Storage is structure-of-arrays: `records_` (a 16-byte {ad, touch}
+// record per entry; the source is ad->source) and `prefilter_` are
+// index-aligned, with `pos_` — an open-addressing FlatMap, 16 bytes when
+// empty — mapping source → index. Both arrays grow geometrically but
+// never past capacity(). Per-source state that is rarely set lives in
+// sparse side maps keyed by source: the delta base where it differs from
+// the ad, non-zero timeout strikes, and non-default trust / strike-chain
+// marks. Erasing an entry erases its side state (DESIGN.md §18). An
+// empty cache costs under 200 bytes and no heap, which is what lets a
+// million-node world keep one per peer. The scan path
 // (collect_matches / collect_for_reply over a HashedQuery) walks the dense
 // 8-byte prefilter array first — each word is the fold of that entry's
 // Bloom filter (bloom/hashed_query.hpp) — and only entries whose fold
@@ -26,7 +32,7 @@
 //   * a refresh touches a version-matching entry and invalidates a
 //     mismatching one,
 //   * a delta applies only if the entry still remembers the full ad it is
-//     based on (`Entry::base`, recorded at every full-ad put) and that
+//     based on (its base, recorded at every full-ad put) and that
 //     base matches the delta's base-full version; consecutive deltas
 //     against the same base are then independently applicable, so a lost
 //     delta does not break the chain the way a missed patch does.
@@ -42,6 +48,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -63,27 +70,54 @@ enum class UpdateOutcome : std::uint8_t {
 
 class AdCache {
  public:
+  /// One entry with its side state, assembled for inspection (tests and
+  /// benchmarks). `ad` refers into the cache and stays valid until the
+  /// cache changes.
   struct Entry {
-    AdPayloadPtr ad;
+    const AdPayloadPtr& ad;
     /// The last *full* ad received for this source — the base delta ads
-    /// apply against. Shares the canonical payload, so this costs one
-    /// pointer, not a filter copy.
+    /// apply against. The same payload as `ad` unless a patch or delta
+    /// moved the entry past its last full ad.
     AdPayloadPtr base;
-    double touch = 0.0;  // virtual time of last use
+    double touch;
     /// Consecutive confirm timeouts against this source; a fresh ad (any
     /// successful put) or a confirm reply resets it. Drives stale-ad
     /// eviction under the fault-hardening knobs.
-    std::uint32_t timeout_strikes = 0;
+    std::uint32_t timeout_strikes;
     /// Per-source trust in [0,1], driven by confirm outcomes when trust
     /// scoring is enabled (set_trust_params). 1.0 = fully trusted; entries
-    /// start trusted and earn strikes. Untouched (and never read) when
-    /// trust is off, so vanilla digests cannot shift.
-    double trust = 1.0;
-    /// End of the last counted strike's confirm-attempt chain. With the
-    /// strike-chain guard on, a strike whose chain *started* before this
-    /// instant is part of the same evidence window and is not re-counted
-    /// (one strike per confirm attempt chain).
-    double strike_chain_end = -1.0;
+    /// start trusted and earn strikes. Written (and read) only when trust
+    /// is on, so vanilla digests cannot shift.
+    double trust;
+    /// End of the last counted strike's confirm-attempt chain, written
+    /// only with the strike-chain guard on. A strike whose chain *started*
+    /// before this instant is part of the same evidence window and is not
+    /// re-counted (one strike per confirm attempt chain).
+    double strike_chain_end;
+  };
+
+  /// Index-ordered view of the entries: entries()[i] is scan position i.
+  class EntryView {
+   public:
+    struct iterator {
+      const AdCache* cache;
+      std::size_t idx;
+      Entry operator*() const { return cache->entry_at(idx); }
+      iterator& operator++() {
+        ++idx;
+        return *this;
+      }
+      bool operator==(const iterator&) const = default;
+    };
+
+    explicit EntryView(const AdCache& cache) : cache_(&cache) {}
+    std::size_t size() const { return cache_->size(); }
+    Entry operator[](std::size_t idx) const { return cache_->entry_at(idx); }
+    iterator begin() const { return {cache_, 0}; }
+    iterator end() const { return {cache_, size()}; }
+
+   private:
+    const AdCache* cache_;
   };
 
   /// What a put() did, so callers can count stores and evictions.
@@ -105,14 +139,13 @@ class AdCache {
   explicit AdCache(std::uint32_t capacity = 1'500);
 
   std::uint32_t capacity() const { return capacity_; }
-  std::size_t size() const { return entries_.size(); }
+  std::size_t size() const { return records_.size(); }
 
   /// Inserts or replaces the ad for its source; evicts if over capacity.
   /// A stale version for an already-cached source only touches the entry
-  /// (stored stays false). Redelivering the exact payload the entry holds
-  /// as both ad and base (an ad walk revisiting a node) takes a short path
-  /// with the same observable effect: strikes reset, gate verdict applied,
-  /// entry touched, stored = true.
+  /// (stored stays false). Redelivering the payload the entry holds (an ad
+  /// walk revisiting a node) re-bases the entry on it, resets strikes and
+  /// touches it without re-folding the filter; stored = true.
   PutResult put(const AdPayloadPtr& ad, double now, Rng& rng);
 
   /// Applies a patch: swaps to `next` iff the cached version equals
@@ -147,7 +180,8 @@ class AdCache {
   double readmit_backoff() const { return readmit_backoff_; }
   /// True while put() would drop ads for `source` (regression tests).
   bool readmit_blocked(NodeId source, double now) const;
-  const Entry* find(NodeId source) const;
+  /// The cached entry for `source`, if any.
+  std::optional<Entry> find(NodeId source) const;
   void touch(NodeId source, double now);
 
   /// Records one confirm timeout against `source`; returns the updated
@@ -227,18 +261,28 @@ class AdCache {
                          std::vector<AdPayloadPtr>& out) const;
 
   /// Index-aligned views over the SoA storage (tests / debugging).
-  std::span<const NodeId> sources() const { return sources_; }
-  std::span<const Entry> entries() const { return entries_; }
-  std::span<const std::uint64_t> prefilters() const { return prefilter_; }
+  EntryView entries() const { return EntryView(*this); }
+  std::span<const std::uint64_t> prefilters() const {
+    return {prefilter_.get(), records_.size()};
+  }
 
-  /// Heap bytes owned by this cache's containers (payloads are shared
-  /// wire objects, counted by their producers, so they are excluded).
-  /// Drives the per-node state accounting in scale benchmarks.
+  /// Heap bytes owned by this cache's containers, side maps included
+  /// (payloads are shared wire objects, counted by their producers, so
+  /// they are excluded). Drives the per-node state accounting in scale
+  /// benchmarks.
   std::uint64_t memory_bytes() const;
 
  private:
+  Entry entry_at(std::size_t idx) const;
   void evict_one(Rng& rng);
   void erase_at(std::size_t idx);
+  /// Makes room for one more record: grows both arrays geometrically, but
+  /// never past capacity_.
+  void reserve_one();
+  /// Moves entry `idx` on to `next` by a patch or delta, keeping its
+  /// base; `stored_base` is bases_.get() for its source.
+  void advance(std::size_t idx, const AdPayload* stored_base,
+               const AdPayloadPtr& next);
 
   /// Puts `source` in quarantine (exponential backoff per repeat offense)
   /// and drops its cached entry if present. Shared by record_strike and the
@@ -269,11 +313,25 @@ class AdCache {
   bool entry_matches(std::size_t idx, const bloom::HashedQuery& query,
                      std::span<const std::uint8_t> order) const;
 
+  /// Prefilter geometry: the system-wide default.
+  static constexpr bloom::BloomParams kCanonical{};
+
+  /// The hot part of an entry, one per cached source in scan order.
+  struct Record {
+    AdPayloadPtr ad;
+    double touch = 0.0;  // virtual time of last use
+  };
+  static_assert(sizeof(Record) == 16,
+                "a record is one payload handle and a touch time");
+
   std::uint32_t capacity_;
-  bloom::BloomParams canonical_;  // prefilter geometry (system default)
-  std::vector<NodeId> sources_;
-  std::vector<Entry> entries_;
-  std::vector<std::uint64_t> prefilter_;
+  /// Max admissible filter fill ratio; 0 disables the plausibility gate.
+  /// A float so it packs beside capacity_ — the empty-cache footprint
+  /// bound (million-node worlds) stays intact.
+  float fill_gate_ = 0.0f;
+  std::vector<Record> records_;
+  /// One word per records_ slot: its length is records_.capacity().
+  std::unique_ptr<std::uint64_t[]> prefilter_;
   // Per-bit prefilter counts driving the rarest-first term ordering: the
   // number of entries whose prefilter has bit j set is bits[j] + all_ones.
   // All-ones words (a dense filter folds to all-ones; so does a foreign
@@ -288,6 +346,18 @@ class AdCache {
   };
   std::unique_ptr<FoldCounts> fold_count_;
   FlatMap<NodeId, std::uint32_t> pos_;  // source -> index
+  /// Side state, keyed by source; each erased with its entry.
+  /// The delta base, where it is not the entry's ad.
+  PayloadMap bases_;
+  /// Non-zero timeout strikes.
+  FlatMap<NodeId, std::uint32_t> strikes_;
+  /// Non-default trust and strike-chain marks; written only with trust
+  /// scoring or the strike-chain guard on.
+  struct Standing {
+    double trust = 1.0;
+    double strike_chain_end = -1.0;
+  };
+  FlatMap<NodeId, Standing> standing_;
   /// source -> virtual time until which puts are dropped (erase_stale).
   /// Empty unless a backoff is configured, so vanilla runs never pay a
   /// lookup in put().
@@ -300,10 +370,6 @@ class AdCache {
     std::uint32_t offenses = 0;
   };
   FlatMap<NodeId, Quarantine> quar_;
-  /// Max admissible filter fill ratio; 0 disables the plausibility gate.
-  /// A float so it packs into the padding next to the two flags — the
-  /// empty-cache footprint bound (million-node worlds) stays intact.
-  float fill_gate_ = 0.0f;
   bool trust_enabled_ = false;
   bool strike_per_chain_ = false;
   double trust_reward_ = 0.3;

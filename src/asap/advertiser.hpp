@@ -1,10 +1,15 @@
 // Per-node advertised-content state (paper §III-B/C).
 //
-// Tracks a node's shared keyword multiset in a counting Bloom filter (so
-// removals clear bits), the class histogram that defines the node's ad
-// topics, the last advertised filter snapshot and the version counter.
-// Produces the canonical AdPayload for each new version plus the toggle
-// list a patch ad carries.
+// Tracks a node's shared keywords in a plain Bloom filter of its current
+// content, the class histogram that defines the node's ad topics, the
+// last advertised filter snapshot and the version counter. Produces the
+// canonical AdPayload for each new version plus the toggle list a patch
+// ad carries.
+//
+// The paper keeps node-side (i, x) counting tuples so that removals can
+// clear bits. Here a removal rebuilds the bitmap from the documents the
+// node still shares instead: the bits are the same, at 1.4 KB per sharer
+// rather than 23 KB of 16-bit counters (DESIGN.md §2).
 #pragma once
 
 #include <array>
@@ -36,7 +41,13 @@ class Advertiser {
   bool has_content() const { return doc_count_ > 0; }
 
   void add_document(const trace::Document& doc);
-  void remove_document(const trace::Document& doc);
+  /// Removes `doc`. A bitmap cannot clear the document's bits by itself
+  /// (another document may hold the same keyword), so the filter is
+  /// rebuilt from `remaining`: the ids, into `corpus`, of every document
+  /// the node still shares, `doc` not included.
+  void remove_document(const trace::Document& doc,
+                       std::span<const DocId> remaining,
+                       std::span<const trace::Document> corpus);
 
   /// Current topic set (classes of the shared documents), sorted.
   std::vector<TopicId> topics() const;
@@ -69,17 +80,13 @@ class Advertiser {
   /// True if any filter bit differs from the advertised snapshot.
   bool dirty() const;
 
-  const bloom::CountingBloomFilter& counting_filter() const {
-    return *counting_;
-  }
-
-  /// Heap bytes owned by this advertiser: the counting filter plus the
+  /// Heap bytes owned by this advertiser: the content bitmap plus the
   /// published payload snapshots (each holds its own bitmap copy; the
-  /// shared_ptr copies cached elsewhere alias these same blocks, so the
+  /// AdPayloadPtr copies cached elsewhere alias these same blocks, so the
   /// producer is the one place they are counted).
   std::uint64_t memory_bytes() const {
     std::uint64_t total =
-        counting_ ? sizeof(*counting_) + counting_->memory_bytes() : 0;
+        filter_ ? sizeof(*filter_) + filter_->memory_bytes() : 0;
     if (payload_) total += sizeof(AdPayload) + payload_->filter.memory_bytes();
     if (base_payload_ && base_payload_ != payload_) {
       total += sizeof(AdPayload) + base_payload_->filter.memory_bytes();
@@ -90,7 +97,7 @@ class Advertiser {
  private:
   NodeId source_;
   bloom::BloomParams params_;
-  std::unique_ptr<bloom::CountingBloomFilter> counting_;  // lazily allocated
+  std::unique_ptr<bloom::BloomFilter> filter_;  // lazily allocated
   std::array<std::uint16_t, trace::kNumClasses> class_counts_{};
   std::uint32_t doc_count_ = 0;
   std::uint32_t version_ = 0;
@@ -98,6 +105,7 @@ class Advertiser {
   AdPayloadPtr base_payload_;  // last *full* ad's payload (delta base)
 
   void ensure_filter();
+  void insert_keywords(const trace::Document& doc);
 };
 
 }  // namespace asap::ads

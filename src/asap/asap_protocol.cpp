@@ -113,8 +113,8 @@ AdPayloadPtr AsapProtocol::maybe_pollute(NodeId src, AdPayloadPtr payload) {
   }
   ++counters_.polluted_ads;
   // A new payload, so its fold and topic mask describe the stuffed filter.
-  return std::make_shared<const AdPayload>(payload->source, payload->version,
-                                           std::move(filter), payload->topics);
+  return make_payload(payload->source, payload->version, std::move(filter),
+                      payload->topics);
 }
 
 void AsapProtocol::note_readmit(NodeId cacher, NodeId source, Seconds t) {
@@ -636,7 +636,7 @@ void AsapProtocol::on_content_change(const trace::TraceEvent& ev) {
   if (ev.type == trace::TraceEventType::kAddDoc) {
     adv.add_document(doc);
   } else {
-    adv.remove_document(doc);
+    adv.remove_document(doc, ctx_.live.docs(n), ctx_.model.corpus());
   }
   if (!ctx_.online(n)) return;
 

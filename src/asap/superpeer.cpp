@@ -169,8 +169,8 @@ AdPayloadPtr SuperpeerAsap::maybe_pollute(NodeId src, AdPayloadPtr payload) {
   }
   ++counters_.polluted_ads;
   // A new payload, so its fold and topic mask describe the stuffed filter.
-  return std::make_shared<const AdPayload>(payload->source, payload->version,
-                                           std::move(filter), payload->topics);
+  return make_payload(payload->source, payload->version, std::move(filter),
+                      payload->topics);
 }
 
 void SuperpeerAsap::note_readmit(NodeId cacher, NodeId source, Seconds t) {
@@ -614,7 +614,7 @@ void SuperpeerAsap::on_content_change(const trace::TraceEvent& ev) {
   if (ev.type == trace::TraceEventType::kAddDoc) {
     adv.add_document(doc);
   } else {
-    adv.remove_document(doc);
+    adv.remove_document(doc, ctx_.live.docs(n), ctx_.model.corpus());
   }
   if (!ctx_.online(n)) return;
   if (!adv.has_advertised()) {
@@ -913,6 +913,24 @@ void SuperpeerAsap::run_query(const trace::TraceEvent& ev) {
                             rec.response_time, rec.cost_bytes, rec.messages,
                             rec.results));
   if (!synthetic_query()) stats_.add(rec);
+}
+
+std::uint64_t SuperpeerAsap::state_bytes() const {
+  std::uint64_t total =
+      sp_mesh_.memory_bytes() + is_superpeer_.capacity() +
+      proxy_.capacity() * sizeof(NodeId) +
+      advertisers_.capacity() * sizeof(Advertiser) +
+      caches_.capacity() * sizeof(AdCache) + refresh_scheduled_.capacity() +
+      pending_.capacity() * sizeof(pending_[0]) +
+      sp_scheds_.capacity() * sizeof(AdScheduler) +
+      round_scheduled_.capacity();
+  for (const auto& a : advertisers_) total += a.memory_bytes();
+  for (const auto& c : caches_) total += c.memory_bytes();
+  total += pending_queries_.capacity() * sizeof(std::vector<Seconds>);
+  for (const auto& q : pending_queries_) {
+    total += q.capacity() * sizeof(Seconds);
+  }
+  return total;
 }
 
 std::uint64_t SuperpeerAsap::total_cached_ads() const {

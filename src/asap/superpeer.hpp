@@ -97,6 +97,7 @@ class SuperpeerAsap final : public search::SearchAlgorithm {
   std::string name() const override;
   void warm_up(Seconds duration) override;
   void on_trace_event(const trace::TraceEvent& event) override;
+  std::uint64_t state_bytes() const override;
 
   bool is_superpeer(NodeId n) const { return is_superpeer_[n]; }
   NodeId proxy_of(NodeId n) const { return proxy_[n]; }

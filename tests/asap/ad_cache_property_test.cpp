@@ -3,6 +3,8 @@
 // prefilter-accelerated scans must return exactly what the legacy
 // hash-per-term scans return — same ads, same order — and the parallel
 // SoA arrays must stay mutually consistent across swap-with-back erases.
+// The sparse side state (delta base, strikes, trust marks) is checked
+// against a per-source oracle, and a full cache against its byte budget.
 #include "asap/ad_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -22,8 +24,20 @@ AdPayloadPtr make_ad(NodeId src, std::uint32_t version,
                      std::vector<TopicId> topics) {
   bloom::BloomFilter f;
   for (auto k : keys) f.insert(k);
-  return std::make_shared<const AdPayload>(src, version, std::move(f),
-                                           std::move(topics));
+  return make_payload(src, version, std::move(f), std::move(topics));
+}
+
+/// The index maps each entry's source to its own slot, and each slot's
+/// prefilter word is its ad's fold.
+void expect_index_exact(const AdCache& c, int step) {
+  ASSERT_EQ(c.prefilters().size(), c.size());
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    const auto e = c.entries()[i];
+    const auto found = c.find(e.ad->source);
+    ASSERT_TRUE(found) << "step " << step;
+    ASSERT_EQ(&found->ad, &e.ad) << "step " << step;
+    ASSERT_EQ(c.prefilters()[i], e.ad->filter.fold()) << "step " << step;
+  }
 }
 
 TEST(AdCacheProperty, HashedScansMatchLegacyUnderRandomOps) {
@@ -62,9 +76,9 @@ TEST(AdCacheProperty, HashedScansMatchLegacyUnderRandomOps) {
         break;
       }
       case 2: {  // patch: usually against the cached base, sometimes stale
-        const auto* e = c.find(src);
+        const auto e = c.find(src);
         const std::uint32_t base =
-            (e != nullptr ? e->ad->version : version[src] + 1) +
+            (e ? e->ad->version : version[src] + 1) +
             (rng.below(3) == 0 ? 1 : 0);
         const std::uint32_t next_v = base + 1;
         version[src] = std::max(version[src], next_v);
@@ -88,13 +102,7 @@ TEST(AdCacheProperty, HashedScansMatchLegacyUnderRandomOps) {
 
     // SoA consistency: parallel arrays agree, the index survives every
     // swap-with-back, and each prefilter word is its entry's current fold.
-    ASSERT_EQ(c.sources().size(), c.entries().size());
-    ASSERT_EQ(c.prefilters().size(), c.entries().size());
-    for (std::size_t i = 0; i < c.entries().size(); ++i) {
-      ASSERT_EQ(c.find(c.sources()[i]), &c.entries()[i]) << "step " << step;
-      ASSERT_EQ(c.prefilters()[i], c.entries()[i].ad->filter.fold())
-          << "step " << step;
-    }
+    expect_index_exact(c, step);
 
     if (step % 7 != 0) continue;
     // Random query (0..3 terms, some absent from every filter) through
@@ -118,61 +126,231 @@ TEST(AdCacheProperty, HashedScansMatchLegacyUnderRandomOps) {
   }
 }
 
+/// What the map oracle expects the cache to hold for one source.
+struct Expected {
+  AdPayloadPtr ad;
+  AdPayloadPtr base;
+  double touch = 0.0;
+  std::uint32_t strikes = 0;
+  double trust = 1.0;
+  double chain_end = -1.0;
+};
+
+void expect_entry(const AdCache& c, const std::map<NodeId, Expected>& oracle,
+                  NodeId src, bool trust_on, int step) {
+  const auto e = c.find(src);
+  const auto it = oracle.find(src);
+  ASSERT_EQ(e.has_value(), it != oracle.end())
+      << "source " << src << " step " << step;
+  if (!e) {
+    ASSERT_EQ(c.trust_of(src), 1.0) << "source " << src << " step " << step;
+    return;
+  }
+  const Expected& want = it->second;
+  ASSERT_EQ(e->ad, want.ad) << "source " << src << " step " << step;
+  ASSERT_EQ(e->base, want.base) << "source " << src << " step " << step;
+  ASSERT_EQ(e->touch, want.touch) << "source " << src << " step " << step;
+  ASSERT_EQ(e->timeout_strikes, want.strikes)
+      << "source " << src << " step " << step;
+  ASSERT_EQ(e->trust, want.trust) << "source " << src << " step " << step;
+  ASSERT_EQ(e->strike_chain_end, want.chain_end)
+      << "source " << src << " step " << step;
+  ASSERT_EQ(c.trust_of(src), trust_on ? want.trust : 1.0)
+      << "source " << src << " step " << step;
+}
+
 TEST(AdCacheProperty, IndexMapAgreesWithMapOracle) {
-  // The FlatMap-backed source→index map must track membership exactly
-  // like an ordered-map oracle under random put / revisit / erase /
-  // erase_stale / touch — capacity is sized so eviction never fires,
-  // which makes the oracle's membership prediction exact.
+  // The FlatMap-backed source→index map and the sparse side maps (delta
+  // base, strikes, trust marks) must track every source exactly like a
+  // per-source oracle under random put / revisit / stale put / patch /
+  // delta / refresh / erase / erase_stale / touch / both record_timeout
+  // overloads / reset_timeouts / record_reward / record_strike (with
+  // quarantine), with trust scoring and the strike-chain guard each off
+  // and on. Capacity is sized so eviction never fires, which makes the
+  // oracle's membership prediction exact.
   constexpr NodeId kSources = 200;
-  AdCache c(256);
-  Rng rng(99);
-  std::map<NodeId, std::uint32_t> oracle;  // source -> expected version
-  std::map<NodeId, AdPayloadPtr> held;     // source -> cached payload
-  double now = 0.0;
-  for (int step = 0; step < 20'000; ++step) {
-    now += 1.0;
-    const NodeId src = static_cast<NodeId>(rng.below(kSources));
-    switch (rng.below(6)) {
-      case 0:
-      case 1: {  // put a strictly newer version: always stored
-        const std::uint32_t v = oracle.count(src) ? oracle[src] + 1 : 1;
-        held[src] = make_ad(src, v, {static_cast<KeywordId>(src)},
-                            {static_cast<TopicId>(src % 4)});
-        const auto r = c.put(held[src], now, rng);
-        EXPECT_TRUE(r.stored);
-        EXPECT_FALSE(r.evicted);
-        oracle[src] = v;
-        break;
+  constexpr double kReward = 0.3;
+  constexpr double kDecay = 0.5;
+  constexpr double kThreshold = 0.2;
+  constexpr double kBackoff = 40.0;
+  for (const bool trust_on : {false, true}) {
+    for (const bool chain_guard : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "trust " << trust_on
+                                      << " chain guard " << chain_guard);
+      AdCache c(256);
+      if (trust_on) c.set_trust_params(kReward, kDecay, kThreshold, kBackoff);
+      c.set_strike_per_chain(chain_guard);
+      Rng rng(99);
+      std::map<NodeId, Expected> oracle;
+      std::map<NodeId, std::uint32_t> version;  // last published version
+      struct Sentence {
+        double until = 0.0;
+        std::uint32_t offenses = 0;
+      };
+      std::map<NodeId, Sentence> quarantine;
+      std::uint64_t based = 0, struck = 0, chained = 0, quarantines = 0;
+      double now = 0.0;
+      for (int step = 0; step < 10'000; ++step) {
+        now += 1.0;
+        const NodeId src = static_cast<NodeId>(rng.below(kSources));
+        const auto it = oracle.find(src);
+        Expected* want = it == oracle.end() ? nullptr : &it->second;
+        const auto next_ad = [&] {
+          const std::uint32_t v = ++version[src];
+          return make_ad(src, v, {static_cast<KeywordId>(src), v},
+                         {static_cast<TopicId>(src % 4)});
+        };
+        switch (rng.below(14)) {
+          case 0:
+          case 1: {  // a newer full ad: stored unless quarantined
+            const AdPayloadPtr ad = next_ad();
+            const auto q = quarantine.find(src);
+            const bool blocked =
+                q != quarantine.end() && now < q->second.until;
+            const auto r = c.put(ad, now, rng);
+            ASSERT_EQ(r.stored, !blocked) << "step " << step;
+            ASSERT_FALSE(r.evicted);
+            if (blocked) break;
+            ASSERT_EQ(r.readmitted, want == nullptr && q != quarantine.end());
+            if (want == nullptr) want = &oracle[src];
+            want->ad = ad;
+            want->base = ad;
+            want->touch = now;
+            want->strikes = 0;
+            break;
+          }
+          case 2: {  // revisit: the cached payload again re-bases on it
+            if (want == nullptr) break;
+            ASSERT_TRUE(c.put(want->ad, now, rng).stored);
+            want->base = want->ad;
+            want->touch = now;
+            want->strikes = 0;
+            break;
+          }
+          case 3: {  // a stale full ad only touches
+            if (want == nullptr || want->ad->version < 2) break;
+            const auto old = make_ad(src, want->ad->version - 1, {},
+                                     {static_cast<TopicId>(src % 4)});
+            ASSERT_FALSE(c.put(old, now, rng).stored);
+            want->touch = now;
+            break;
+          }
+          case 4: {  // patch against the cached version keeps the base
+            const AdPayloadPtr next = next_ad();
+            if (want == nullptr) {
+              ASSERT_EQ(c.apply_patch(src, 1, next, now),
+                        UpdateOutcome::kMissing);
+              break;
+            }
+            ASSERT_EQ(c.apply_patch(src, want->ad->version, next, now),
+                      UpdateOutcome::kApplied);
+            want->ad = next;
+            want->touch = now;
+            break;
+          }
+          case 5: {  // delta against the remembered full ad
+            if (want == nullptr) break;
+            const AdPayloadPtr next = next_ad();
+            const auto toggles =
+                bloom::BloomFilter::diff(want->base->filter, next->filter);
+            ASSERT_EQ(c.apply_delta(src, want->base->version, toggles, next,
+                                    now),
+                      UpdateOutcome::kApplied);
+            want->ad = next;
+            want->touch = now;
+            break;
+          }
+          case 6:  // refresh at the cached version
+            if (want == nullptr) break;
+            ASSERT_EQ(c.on_refresh(src, want->ad->version, now),
+                      UpdateOutcome::kApplied);
+            want->touch = now;
+            break;
+          case 7: {  // erase, or erase_stale with zero backoff
+            const bool erased =
+                rng.below(2) == 0 ? c.erase(src) : c.erase_stale(src, now);
+            ASSERT_EQ(erased, want != nullptr);
+            oracle.erase(src);
+            break;
+          }
+          case 8:
+            c.touch(src, now);
+            if (want != nullptr) want->touch = now;
+            break;
+          case 9:
+            ASSERT_EQ(c.record_timeout(src),
+                      want != nullptr ? ++want->strikes : 0u);
+            break;
+          case 10: {  // chain-aware timeout; a long chain overlaps later ones
+            const double start = now - static_cast<double>(rng.below(6));
+            const double end =
+                start + 1.0 + static_cast<double>(rng.below(2) * 5'000);
+            std::uint32_t expect = 0;
+            if (want != nullptr) {
+              if (chain_guard && start < want->chain_end) {
+                expect = want->strikes;
+                ++chained;
+              } else {
+                if (chain_guard) want->chain_end = end;
+                expect = ++want->strikes;
+              }
+            }
+            ASSERT_EQ(c.record_timeout(src, start, end), expect);
+            break;
+          }
+          case 11:
+            c.reset_timeouts(src);
+            if (want != nullptr) want->strikes = 0;
+            break;
+          case 12:
+            c.record_reward(src);
+            if (want != nullptr && trust_on) {
+              want->trust += kReward * (1.0 - want->trust);
+            }
+            break;
+          default: {  // strike: decays trust, may quarantine
+            bool expect = false;
+            if (want != nullptr && trust_on) {
+              want->trust *= kDecay;
+              if (want->trust < kThreshold) {
+                Sentence& q = quarantine[src];
+                q.until = now + kBackoff * static_cast<double>(
+                                               1ULL << std::min<std::uint32_t>(
+                                                   q.offenses, 6));
+                ++q.offenses;
+                oracle.erase(src);
+                expect = true;
+                ++quarantines;
+              }
+            }
+            ASSERT_EQ(c.record_strike(src, now), expect);
+            break;
+          }
+        }
+        ASSERT_EQ(c.size(), oracle.size()) << "step " << step;
+        expect_entry(c, oracle, src, trust_on, step);
+        const auto q = quarantine.find(src);
+        ASSERT_EQ(c.quarantined(src, now),
+                  q != quarantine.end() && now < q->second.until);
+        if (const auto o = oracle.find(src); o != oracle.end()) {
+          based += o->second.base != o->second.ad;
+          struck += o->second.strikes > 0;
+        }
+        if (step % 97 != 0) continue;
+        for (NodeId s = 0; s < kSources; ++s) {
+          expect_entry(c, oracle, s, trust_on, step);
+        }
+        expect_index_exact(c, step);
       }
-      case 2: {  // revisit: the cached payload again, membership-neutral
-        if (!oracle.count(src)) break;
-        const auto r = c.put(held[src], now, rng);
-        EXPECT_TRUE(r.stored);
-        EXPECT_FALSE(r.evicted);
-        ASSERT_EQ(c.find(src)->ad, held[src]);
-        break;
+      // The sequence really reached the side state it claims to cover.
+      EXPECT_GT(based, 1'000u);
+      EXPECT_GT(struck, 1'000u);
+      if (chain_guard) {
+        EXPECT_GT(chained, 20u);
       }
-      case 3:
-        EXPECT_EQ(c.erase(src), oracle.erase(src) > 0);
-        break;
-      case 4:  // zero re-admit backoff: erase_stale is a plain erase
-        EXPECT_EQ(c.erase_stale(src, now), oracle.erase(src) > 0);
-        break;
-      default:
-        c.touch(src, now);  // membership-neutral
-        break;
-    }
-    ASSERT_EQ(c.size(), oracle.size());
-    if (step % 251 != 0) continue;
-    // Periodic deep check: every oracle entry findable at its version,
-    // and the dense arrays list exactly the oracle's key set.
-    for (const auto& [s, v] : oracle) {
-      const auto* e = c.find(s);
-      ASSERT_NE(e, nullptr) << "source " << s;
-      EXPECT_EQ(e->ad->version, v);
-    }
-    for (const auto s : c.sources()) {
-      ASSERT_TRUE(oracle.count(s)) << "stray source " << s;
+      if (trust_on) {
+        EXPECT_GT(quarantines, 20u);
+      }
     }
   }
 }
@@ -180,8 +358,7 @@ TEST(AdCacheProperty, IndexMapAgreesWithMapOracle) {
 /// Fresh payload with the same content: a cache that receives it cannot
 /// recognise a revisit by pointer, so put() always runs its full path.
 AdPayloadPtr clone(const AdPayloadPtr& ad) {
-  return std::make_shared<const AdPayload>(ad->source, ad->version,
-                                           ad->filter, ad->topics);
+  return make_payload(ad->source, ad->version, ad->filter, ad->topics);
 }
 
 /// Equality of two entries whose payloads are equal in content but may be
@@ -192,10 +369,7 @@ void expect_same_entry(const AdCache::Entry& a, const AdCache::Entry& b,
   ASSERT_EQ(a.ad->version, b.ad->version) << "step " << step;
   ASSERT_EQ(a.ad->filter, b.ad->filter) << "step " << step;
   ASSERT_EQ(a.ad->topics, b.ad->topics) << "step " << step;
-  ASSERT_EQ(a.base == nullptr, b.base == nullptr) << "step " << step;
-  if (a.base) {
-    ASSERT_EQ(a.base->version, b.base->version) << "step " << step;
-  }
+  ASSERT_EQ(a.base->version, b.base->version) << "step " << step;
   ASSERT_EQ(a.touch, b.touch) << "step " << step;
   ASSERT_EQ(a.timeout_strikes, b.timeout_strikes) << "step " << step;
   ASSERT_EQ(a.trust, b.trust) << "step " << step;
@@ -243,15 +417,13 @@ void run_ingest_equivalence(double fill_gate, std::uint64_t seed) {
         for (int k = 0; k < 400; ++k) {
           f.insert(static_cast<KeywordId>(draw.below(100'000)));
         }
-        ad = std::make_shared<const AdPayload>(src, v, std::move(f),
-                                               std::move(topics));
+        ad = make_payload(src, v, std::move(f), std::move(topics));
         break;
       }
       case 1: {  // foreign geometry: prefilter is all-ones
         bloom::BloomFilter f(bloom::BloomParams::for_capacity(64, 4));
         f.insert(static_cast<KeywordId>(draw.below(kKeyPool)));
-        ad = std::make_shared<const AdPayload>(src, v, std::move(f),
-                                               std::move(topics));
+        ad = make_payload(src, v, std::move(f), std::move(topics));
         break;
       }
       default: {  // sparse
@@ -286,8 +458,7 @@ void run_ingest_equivalence(double fill_gate, std::uint64_t seed) {
       case 4: {  // same-payload revisit (an ad walk coming back)
         if (!latest.count(src)) break;
         const AdPayloadPtr& ad = latest[src];
-        if (const auto* e = fast.find(src); e != nullptr && e->ad == ad &&
-                                            e->base == ad) {
+        if (const auto e = fast.find(src); e && e->ad == ad && e->base == ad) {
           ++revisits;
         }
         expect_same_put(fast.put(ad, now, fast_rng),
@@ -303,8 +474,8 @@ void run_ingest_equivalence(double fill_gate, std::uint64_t seed) {
         break;
       }
       case 6: {  // patch against the cached version (sometimes stale)
-        const auto* e = fast.find(src);
-        if (e == nullptr || !latest.count(src)) break;
+        const auto e = fast.find(src);
+        if (!e || !latest.count(src)) break;
         const std::uint32_t from =
             e->ad->version + (draw.below(3) == 0 ? 1 : 0);
         const AdPayloadPtr next = publish(src);
@@ -354,10 +525,6 @@ void run_ingest_equivalence(double fill_gate, std::uint64_t seed) {
     }
 
     ASSERT_EQ(fast.size(), ref.size()) << "step " << step;
-    ASSERT_EQ(std::vector<NodeId>(fast.sources().begin(),
-                                  fast.sources().end()),
-              std::vector<NodeId>(ref.sources().begin(), ref.sources().end()))
-        << "step " << step;
     ASSERT_EQ(std::vector<std::uint64_t>(fast.prefilters().begin(),
                                          fast.prefilters().end()),
               std::vector<std::uint64_t>(ref.prefilters().begin(),
@@ -417,21 +584,39 @@ TEST(AdCacheProperty, EvictionKeepsIndexExactAtCapacity) {
     c.put(make_ad(src, 1, {static_cast<KeywordId>(src % 64)}, {0}),
           static_cast<double>(step), rng);
     ASSERT_LE(c.size(), kCapacity);
-    ASSERT_EQ(c.sources().size(), c.entries().size());
-    for (std::size_t i = 0; i < c.entries().size(); ++i) {
-      ASSERT_EQ(c.find(c.sources()[i]), &c.entries()[i]) << "step " << step;
-    }
+    expect_index_exact(c, step);
   }
   EXPECT_EQ(c.size(), kCapacity);
 }
 
 TEST(AdCacheProperty, EmptyCacheFootprintSupportsMillionNodeWorlds) {
   // A million-node world keeps one AdCache per peer; an idle cache must
-  // own (almost) no heap. The SoA arrays, both FlatMaps and the lazy
+  // own (almost) no heap. The SoA arrays, every FlatMap and the lazy
   // fold-count array all start unallocated.
   const AdCache c(1'500);
   EXPECT_EQ(c.memory_bytes(), 0u);
   EXPECT_LT(sizeof(AdCache), 200u);
+}
+
+TEST(AdCacheProperty, FullCacheOwnsAtMost40BytesPerEntry) {
+  // A full cache owns a 16-byte record and an 8-byte prefilter word per
+  // entry plus its index; neither array reserves past capacity(), so
+  // further puts at capacity (evictions) never grow the footprint.
+  constexpr std::uint32_t kCapacity = 1'500;
+  AdCache c(kCapacity);
+  Rng rng(11);
+  NodeId next = 0;
+  for (; next < kCapacity; ++next) {
+    c.put(make_ad(next, 1, {static_cast<KeywordId>(next)}, {0}), 1.0, rng);
+  }
+  ASSERT_EQ(c.size(), kCapacity);
+  const std::uint64_t full = c.memory_bytes();
+  EXPECT_LE(full, 40u * kCapacity);
+  for (int i = 0; i < 3'000; ++i, ++next) {
+    c.put(make_ad(next, 1, {static_cast<KeywordId>(next)}, {0}), 2.0, rng);
+  }
+  EXPECT_EQ(c.size(), kCapacity);
+  EXPECT_EQ(c.memory_bytes(), full);
 }
 
 TEST(AdCacheProperty, ForeignGeometryEntriesAreNeverPrefilteredOut) {
@@ -443,12 +628,11 @@ TEST(AdCacheProperty, ForeignGeometryEntriesAreNeverPrefilteredOut) {
   c.put(make_ad(1, 1, {5}, {0}), 1.0, rng);
   bloom::BloomFilter foreign(bloom::BloomParams::for_capacity(64, 4));
   foreign.insert(5);
-  c.put(std::make_shared<const AdPayload>(2, 1, std::move(foreign),
-                                          std::vector<TopicId>{0}),
-        1.0, rng);
+  c.put(make_payload(2, 1, std::move(foreign), std::vector<TopicId>{0}), 1.0,
+        rng);
   ASSERT_EQ(c.size(), 2u);
   for (std::size_t i = 0; i < c.entries().size(); ++i) {
-    if (c.sources()[i] == 2) {
+    if (c.entries()[i].ad->source == 2) {
       EXPECT_EQ(c.prefilters()[i], ~0ULL);
     } else {
       EXPECT_EQ(c.prefilters()[i], c.entries()[i].ad->filter.fold());

@@ -13,17 +13,16 @@ AdPayloadPtr make_ad(NodeId src, std::uint32_t version,
                      std::vector<TopicId> topics = {0}) {
   bloom::BloomFilter f;
   for (auto k : keys) f.insert(k);
-  return std::make_shared<const AdPayload>(src, version, std::move(f),
-                                           std::move(topics));
+  return make_payload(src, version, std::move(f), std::move(topics));
 }
 
 TEST(AdCache, PutAndFind) {
   AdCache c(10);
   Rng rng(1);
   c.put(make_ad(5, 1), 1.0, rng);
-  ASSERT_NE(c.find(5), nullptr);
+  ASSERT_TRUE(c.find(5));
   EXPECT_EQ(c.find(5)->ad->version, 1u);
-  EXPECT_EQ(c.find(6), nullptr);
+  EXPECT_FALSE(c.find(6));
   EXPECT_EQ(c.size(), 1u);
 }
 
@@ -66,7 +65,7 @@ TEST(AdCache, EvictionPrefersStaleEntries) {
   for (NodeId s = 100; s < 140; ++s) {
     c.put(make_ad(s, 1), 10.0, rng);
   }
-  EXPECT_NE(c.find(7), nullptr) << "most-recently-used entry was evicted";
+  EXPECT_TRUE(c.find(7)) << "most-recently-used entry was evicted";
 }
 
 TEST(AdCache, ApplyPatchSwapsMatchingBase) {
@@ -86,7 +85,7 @@ TEST(AdCache, ApplyPatchVersionMismatchInvalidates) {
   auto v4 = make_ad(5, 4);
   // Cached version 1, patch base 3: the entry is hopelessly stale.
   EXPECT_EQ(c.apply_patch(5, 3, v4, 2.0), UpdateOutcome::kInvalidated);
-  EXPECT_EQ(c.find(5), nullptr);
+  EXPECT_FALSE(c.find(5));
 }
 
 TEST(AdCache, ApplyPatchIgnoresUnknownSourceAndNewerCache) {
@@ -94,7 +93,7 @@ TEST(AdCache, ApplyPatchIgnoresUnknownSourceAndNewerCache) {
   Rng rng(8);
   EXPECT_EQ(c.apply_patch(9, 1, make_ad(9, 2), 1.0),
             UpdateOutcome::kMissing);
-  EXPECT_EQ(c.find(9), nullptr);
+  EXPECT_FALSE(c.find(9));
   // Cache already at version 5; an old patch (base 2 -> 3) must not erase.
   c.put(make_ad(5, 5), 1.0, rng);
   EXPECT_EQ(c.apply_patch(5, 2, make_ad(5, 3), 2.0),
@@ -115,7 +114,7 @@ TEST(AdCache, RefreshWithNewerVersionInvalidates) {
   Rng rng(10);
   c.put(make_ad(5, 3), 1.0, rng);
   EXPECT_EQ(c.on_refresh(5, 7, 2.0), UpdateOutcome::kInvalidated);
-  EXPECT_EQ(c.find(5), nullptr);
+  EXPECT_FALSE(c.find(5));
 }
 
 TEST(AdCache, RefreshWithOlderVersionKeepsEntry) {
@@ -124,7 +123,7 @@ TEST(AdCache, RefreshWithOlderVersionKeepsEntry) {
   c.put(make_ad(5, 3), 1.0, rng);
   // A delayed beacon for an older version is ignored.
   EXPECT_EQ(c.on_refresh(5, 2, 2.0), UpdateOutcome::kIgnoredStale);
-  ASSERT_NE(c.find(5), nullptr);
+  ASSERT_TRUE(c.find(5));
   EXPECT_EQ(c.find(5)->ad->version, 3u);
 }
 
@@ -140,8 +139,8 @@ TEST(AdCache, EraseRemovesEntry) {
   c.put(make_ad(2, 1), 1.0, rng);
   EXPECT_TRUE(c.erase(1));
   EXPECT_FALSE(c.erase(1));
-  EXPECT_EQ(c.find(1), nullptr);
-  ASSERT_NE(c.find(2), nullptr);
+  EXPECT_FALSE(c.find(1));
+  ASSERT_TRUE(c.find(2));
   EXPECT_EQ(c.size(), 1u);
 }
 
@@ -199,7 +198,7 @@ TEST(AdCache, ZeroCapacityDisablesCaching) {
   EXPECT_FALSE(r.stored);
   EXPECT_FALSE(r.evicted);
   EXPECT_EQ(c.size(), 0u);
-  EXPECT_EQ(c.find(5), nullptr);
+  EXPECT_FALSE(c.find(5));
   // The no-op put must not draw from the RNG (digest stability).
   Rng replay(17);
   EXPECT_EQ(rng.next_u64(), replay.next_u64());
@@ -220,7 +219,7 @@ TEST(AdCache, PutReportsStoredAndEvicted) {
   EXPECT_TRUE(r.evicted);
   EXPECT_EQ(c.size(), 2u);
   // A stale re-put neither stores nor evicts.
-  ASSERT_NE(c.find(3), nullptr);
+  ASSERT_TRUE(c.find(3));
   c.put(make_ad(3, 5), 4.0, rng);
   r = c.put(make_ad(3, 2), 5.0, rng);
   EXPECT_FALSE(r.stored);
@@ -241,11 +240,11 @@ TEST(AdCache, SmallCacheEvictsExactLru) {
   const auto r = c.put(make_ad(14, 1), 10.0, rng);
   EXPECT_TRUE(r.stored);
   EXPECT_TRUE(r.evicted);
-  EXPECT_EQ(c.find(11), nullptr) << "true LRU entry must be evicted";
-  EXPECT_NE(c.find(10), nullptr);
-  EXPECT_NE(c.find(12), nullptr);
-  EXPECT_NE(c.find(13), nullptr);
-  EXPECT_NE(c.find(14), nullptr);
+  EXPECT_FALSE(c.find(11)) << "true LRU entry must be evicted";
+  EXPECT_TRUE(c.find(10));
+  EXPECT_TRUE(c.find(12));
+  EXPECT_TRUE(c.find(13));
+  EXPECT_TRUE(c.find(14));
 
   // Identical inserts with a different RNG make the same choice.
   AdCache c2(4);
@@ -255,8 +254,8 @@ TEST(AdCache, SmallCacheEvictsExactLru) {
   c2.put(make_ad(12, 1), 9.0, other);
   c2.put(make_ad(13, 1), 7.0, other);
   c2.put(make_ad(14, 1), 10.0, other);
-  EXPECT_EQ(c2.find(11), nullptr);
-  EXPECT_NE(c2.find(10), nullptr);
+  EXPECT_FALSE(c2.find(11));
+  EXPECT_TRUE(c2.find(10));
 }
 
 TEST(AdCache, TimeoutStrikesAccumulateAndReset) {
@@ -303,13 +302,13 @@ TEST(AdCache, EraseStaleBlocksReadmissionUntilBackoffExpires) {
   Rng rng(22);
   c.put(make_ad(7, 3), 1.0, rng);
   EXPECT_TRUE(c.erase_stale(7, 100.0));
-  EXPECT_EQ(c.find(7), nullptr);
+  EXPECT_FALSE(c.find(7));
   EXPECT_TRUE(c.readmit_blocked(7, 100.0));
 
   // The in-flight stale ad arrives a beat later: silently dropped.
   auto res = c.put(make_ad(7, 3), 100.5, rng);
   EXPECT_FALSE(res.stored);
-  EXPECT_EQ(c.find(7), nullptr);
+  EXPECT_FALSE(c.find(7));
 
   // Even a *newer* version is refused during the window — the source is
   // suspected dead, and re-learning waits out the backoff.
@@ -321,7 +320,7 @@ TEST(AdCache, EraseStaleBlocksReadmissionUntilBackoffExpires) {
   EXPECT_FALSE(c.readmit_blocked(7, 130.1));
   res = c.put(make_ad(7, 4), 130.1, rng);
   EXPECT_TRUE(res.stored);
-  ASSERT_NE(c.find(7), nullptr);
+  ASSERT_TRUE(c.find(7));
   EXPECT_EQ(c.find(7)->ad->version, 4u);
 }
 
@@ -361,7 +360,7 @@ TEST(AdCacheTrust, OffByDefaultAndInert) {
   // put() never paying a quarantine lookup).
   EXPECT_FALSE(c.record_strike(5, 2.0));
   c.record_reward(5);
-  EXPECT_NE(c.find(5), nullptr);
+  EXPECT_TRUE(c.find(5));
   EXPECT_FALSE(c.quarantined(5, 2.0));
 }
 
@@ -392,18 +391,18 @@ TEST(AdCacheTrust, CrossingThresholdQuarantinesAndBlocksPut) {
   c.put(make_ad(5, 1), 1.0, rng);
   EXPECT_FALSE(c.record_strike(5, 2.0));  // 0.4
   EXPECT_TRUE(c.record_strike(5, 3.0));   // 0.16 < 0.2: quarantined
-  EXPECT_EQ(c.find(5), nullptr) << "quarantine must erase the entry";
+  EXPECT_FALSE(c.find(5)) << "quarantine must erase the entry";
   EXPECT_TRUE(c.quarantined(5, 3.0));
   EXPECT_TRUE(c.quarantined(5, 102.9));  // until 3.0 + 100.0
   // Puts inside the window are dropped silently.
   EXPECT_FALSE(c.put(make_ad(5, 2), 50.0, rng).stored);
-  EXPECT_EQ(c.find(5), nullptr);
+  EXPECT_FALSE(c.find(5));
   // Sentence served: the next put re-admits and reports it.
   EXPECT_FALSE(c.quarantined(5, 103.1));
   const auto r = c.put(make_ad(5, 2), 103.1, rng);
   EXPECT_TRUE(r.stored);
   EXPECT_TRUE(r.readmitted);
-  EXPECT_NE(c.find(5), nullptr);
+  EXPECT_TRUE(c.find(5));
   // A re-admitted entry starts fully trusted again (fresh evidence).
   EXPECT_DOUBLE_EQ(c.trust_of(5), 1.0);
 }
@@ -432,7 +431,7 @@ TEST(AdCacheTrust, QuarantineIsPerSource) {
   EXPECT_TRUE(c.record_strike(5, 10.0));
   EXPECT_TRUE(c.quarantined(5, 50.0));
   EXPECT_FALSE(c.quarantined(6, 50.0));
-  EXPECT_NE(c.find(6), nullptr);
+  EXPECT_TRUE(c.find(6));
   EXPECT_TRUE(c.put(make_ad(6, 2), 50.0, rng).stored);
 }
 
@@ -476,8 +475,7 @@ AdPayloadPtr make_stuffed_ad(NodeId src, std::uint32_t version,
   for (std::uint32_t pos = 0; pos < want; ++pos) {
     if (!f.bit(pos)) f.toggle(pos);
   }
-  return std::make_shared<const AdPayload>(src, version, std::move(f),
-                                           std::vector<TopicId>{0});
+  return make_payload(src, version, std::move(f), std::vector<TopicId>{0});
 }
 
 TEST(AdCacheTrust, FillGateDemotesStuffedAdsToZeroTrust) {
@@ -494,14 +492,14 @@ TEST(AdCacheTrust, FillGateDemotesStuffedAdsToZeroTrust) {
   const auto r = c.put(make_stuffed_ad(5, 2, 0.8), 2.0, rng);
   EXPECT_TRUE(r.implausible);
   EXPECT_TRUE(r.stored);
-  ASSERT_NE(c.find(5), nullptr);
+  ASSERT_TRUE(c.find(5));
   EXPECT_EQ(c.trust_of(5), 0.0);
   EXPECT_FALSE(c.quarantined(5, 3.0));
   // The first wasted confirm probe then quarantines immediately (trust is
   // already below any threshold).
   EXPECT_TRUE(c.record_strike(5, 3.0));
   EXPECT_TRUE(c.quarantined(5, 4.0));
-  EXPECT_EQ(c.find(5), nullptr);
+  EXPECT_FALSE(c.find(5));
   // Another source with honest fill is unaffected.
   EXPECT_TRUE(c.put(make_ad(6, 1, {9}), 4.0, rng).stored);
   EXPECT_EQ(c.trust_of(6), 1.0);

@@ -118,17 +118,16 @@ struct Cacher {
   // The differential gate: every cached entry's canonical filter must be
   // bit-identical to the wire-reconstructed shadow.
   void check(Variant v, FaultPreset p, int round) const {
-    const auto srcs = cache.sources();
-    const auto entries = cache.entries();
-    for (std::size_t i = 0; i < srcs.size(); ++i) {
+    for (const auto& e : cache.entries()) {
+      const NodeId src = e.ad->source;
       SCOPED_TRACE(testing::Message()
                    << variant_name(v) << "/" << preset_name(p) << " round "
-                   << round << " source " << srcs[i]);
-      auto it = shadow.find(srcs[i]);
+                   << round << " source " << src);
+      auto it = shadow.find(src);
       ASSERT_NE(it, shadow.end()) << "cached entry with no shadow";
-      EXPECT_EQ(it->second, entries[i].ad->filter)
+      EXPECT_EQ(it->second, e.ad->filter)
           << "wire-reconstructed filter diverged from canonical state";
-      EXPECT_EQ(shadow_version.at(srcs[i]), entries[i].ad->version);
+      EXPECT_EQ(shadow_version.at(src), e.ad->version);
     }
   }
 };
@@ -152,7 +151,8 @@ void run_combo(Variant variant, FaultPreset preset) {
   Rng rng(0xD1FFu * (static_cast<std::uint64_t>(variant) * 7 +
                      static_cast<std::uint64_t>(preset) + 3));
   std::vector<Advertiser> sources;
-  std::vector<std::vector<trace::Document>> docs(kSources);
+  std::vector<trace::Document> corpus;
+  std::vector<std::vector<DocId>> docs(kSources);  // ids into corpus
   sources.reserve(kSources);
   for (std::size_t s = 0; s < kSources; ++s) {
     sources.emplace_back(static_cast<NodeId>(s + 1));
@@ -167,14 +167,16 @@ void run_combo(Variant variant, FaultPreset preset) {
     // --- content churn at the sources -----------------------------------
     for (std::size_t s = 0; s < kSources; ++s) {
       if (rng.below(3) == 0) {
-        docs[s].push_back(random_doc(rng));
-        sources[s].add_document(docs[s].back());
+        corpus.push_back(random_doc(rng));
+        docs[s].push_back(static_cast<DocId>(corpus.size() - 1));
+        sources[s].add_document(corpus.back());
       }
       if (!docs[s].empty() && rng.below(6) == 0) {
         const auto victim = rng.below(docs[s].size());
-        sources[s].remove_document(docs[s][victim]);
+        const DocId removed = docs[s][victim];
         docs[s].erase(docs[s].begin() +
                       static_cast<std::ptrdiff_t>(victim));
+        sources[s].remove_document(corpus[removed], docs[s], corpus);
       }
     }
 
@@ -260,8 +262,8 @@ void run_combo(Variant variant, FaultPreset preset) {
     // --- churn preset: stale-strike evictions with re-admit backoff ------
     if (preset == FaultPreset::kChurn && rng.below(5) == 0 &&
         cacher.cache.size() > 0) {
-      const auto srcs = cacher.cache.sources();
-      const NodeId victim = srcs[rng.below(srcs.size())];
+      const auto entries = cacher.cache.entries();
+      const NodeId victim = entries[rng.below(entries.size())].ad->source;
       cacher.cache.erase_stale(victim, now);
       cacher.drop(victim);
     }

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <set>
+
+#include "common/rng.hpp"
+
 namespace asap::ads {
 namespace {
 
@@ -59,14 +65,14 @@ TEST(Advertiser, PendingPatchReconstructsNewFilter) {
   EXPECT_EQ(v2->version, 2u);
 }
 
-TEST(Advertiser, RemovalClearsBitsViaCountingFilter) {
+TEST(Advertiser, RemovalRebuildsBitsFromRemainingDocuments) {
   Advertiser a(1);
-  const auto d1 = doc(2, {10, 20});
-  const auto d2 = doc(2, {20, 30});  // keyword 20 shared
-  a.add_document(d1);
-  a.add_document(d2);
+  const std::vector<trace::Document> corpus{doc(2, {10, 20}),
+                                            doc(2, {20, 30})};  // 20 shared
+  a.add_document(corpus[0]);
+  a.add_document(corpus[1]);
   a.publish_full();
-  a.remove_document(d1);
+  a.remove_document(corpus[0], std::vector<DocId>{1}, corpus);
   const auto v2 = a.publish_full();
   EXPECT_FALSE(v2->filter.contains(10)) << "10 was unique to d1";
   EXPECT_TRUE(v2->filter.contains(20)) << "20 is still held via d2";
@@ -75,13 +81,12 @@ TEST(Advertiser, RemovalClearsBitsViaCountingFilter) {
 
 TEST(Advertiser, TopicsFollowClassCounts) {
   Advertiser a(1);
-  const auto d1 = doc(4, {1});
-  const auto d2 = doc(4, {2});
-  a.add_document(d1);
-  a.add_document(d2);
-  a.remove_document(d1);
+  const std::vector<trace::Document> corpus{doc(4, {1}), doc(4, {2})};
+  a.add_document(corpus[0]);
+  a.add_document(corpus[1]);
+  a.remove_document(corpus[0], std::vector<DocId>{1}, corpus);
   EXPECT_EQ(a.topics(), (std::vector<TopicId>{4}));
-  a.remove_document(d2);
+  a.remove_document(corpus[1], {}, corpus);
   EXPECT_TRUE(a.topics().empty());
   EXPECT_FALSE(a.has_content());
 }
@@ -92,7 +97,7 @@ TEST(Advertiser, NoChangeMeansEmptyPatch) {
   const auto d2 = doc(0, {10, 20});  // identical keyword set
   a.add_document(d1);
   a.publish_full();
-  a.add_document(d2);  // counters bump, projection unchanged
+  a.add_document(d2);  // its bits are already set: filter unchanged
   EXPECT_FALSE(a.dirty());
   EXPECT_TRUE(a.pending_patch().empty());
 }
@@ -104,6 +109,73 @@ TEST(Advertiser, VersionsIncrementMonotonically) {
     const auto p = a.publish_full();
     EXPECT_EQ(p->version, v);
   }
+}
+
+TEST(AdvertiserProperty, BitmapMatchesCountingFilterUnderRandomChurn) {
+  // Random add / remove / publish sequences over documents that share
+  // keywords heavily: the advertiser rebuilds its bitmap on removal, and
+  // must publish exactly the projection of a counting filter fed the
+  // same sequence, with the same patches, deltas and dirtiness.
+  Rng rng(17);
+  std::vector<trace::Document> corpus;
+  for (int d = 0; d < 48; ++d) {
+    std::vector<KeywordId> kws;
+    for (std::uint64_t k = 1 + rng.below(6); k > 0; --k) {
+      kws.push_back(static_cast<KeywordId>(rng.below(40)));
+    }
+    corpus.push_back(doc(static_cast<TopicId>(rng.below(4)), std::move(kws)));
+  }
+  Advertiser a(3);
+  bloom::CountingBloomFilter oracle;
+  std::vector<DocId> live;
+  std::optional<bloom::BloomFilter> published, full;
+  std::uint64_t removals = 0, patches = 0;
+  for (int step = 0; step < 4'000; ++step) {
+    const std::uint64_t op = rng.below(6);
+    if (op <= 1) {  // share a document the node does not hold yet
+      const auto d = static_cast<DocId>(rng.below(corpus.size()));
+      if (std::find(live.begin(), live.end(), d) != live.end()) continue;
+      live.push_back(d);
+      a.add_document(corpus[d]);
+      for (const KeywordId kw : corpus[d].keywords) oracle.insert(kw);
+    } else if (op <= 3) {  // stop sharing one
+      if (live.empty()) continue;
+      const auto at = static_cast<std::ptrdiff_t>(rng.below(live.size()));
+      const DocId d = live[static_cast<std::size_t>(at)];
+      live.erase(live.begin() + at);
+      a.remove_document(corpus[d], live, corpus);
+      for (const KeywordId kw : corpus[d].keywords) oracle.remove(kw);
+      ++removals;
+    } else if (op == 4) {
+      const auto p = a.publish_full();
+      ASSERT_EQ(p->filter, oracle.projection()) << "step " << step;
+      published = full = oracle.projection();
+    } else {
+      const auto p = a.publish_update();
+      ASSERT_EQ(p->filter, oracle.projection()) << "step " << step;
+      published = oracle.projection();
+    }
+
+    const auto& want = oracle.projection();
+    ASSERT_EQ(a.dirty(), published ? !(*published == want) : !live.empty())
+        << "step " << step;
+    const auto patch = a.pending_patch();
+    ASSERT_EQ(patch, published ? bloom::BloomFilter::diff(*published, want)
+                               : std::vector<std::uint32_t>{})
+        << "step " << step;
+    ASSERT_EQ(a.pending_delta(),
+              full ? bloom::BloomFilter::diff(*full, want)
+                   : std::vector<std::uint32_t>{})
+        << "step " << step;
+    patches += !patch.empty();
+    ASSERT_EQ(a.has_content(), !live.empty());
+    std::set<TopicId> topics;
+    for (const DocId d : live) topics.insert(corpus[d].topic);
+    ASSERT_EQ(a.topics(), std::vector<TopicId>(topics.begin(), topics.end()))
+        << "step " << step;
+  }
+  EXPECT_GT(removals, 500u);
+  EXPECT_GT(patches, 500u);
 }
 
 }  // namespace

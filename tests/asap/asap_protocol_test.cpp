@@ -71,7 +71,7 @@ TEST(AsapProtocol, WarmupPopulatesCaches) {
       EXPECT_TRUE(topics_overlap(cache.entries()[i].ad->topics,
                                  w.model.interests(n)))
           << "node " << n << " cached an uninteresting ad from "
-          << cache.sources()[i];
+          << cache.entries()[i].ad->source;
     }
   }
 }
@@ -158,7 +158,7 @@ TEST(AsapProtocol, DeadEntriesArePrunedAfterFailedConfirmation) {
   // Find a requester that cached the holder's ad.
   NodeId requester = kInvalidNode;
   for (NodeId n = 0; n < TestWorld::kNodes; ++n) {
-    if (n != holder && algo.cache(n).find(holder) != nullptr) {
+    if (n != holder && algo.cache(n).find(holder)) {
       requester = n;
       break;
     }
@@ -169,7 +169,7 @@ TEST(AsapProtocol, DeadEntriesArePrunedAfterFailedConfirmation) {
   ev.num_terms = 1;
   ev.terms[0] = kws.back();
   algo.on_trace_event(ev);
-  EXPECT_EQ(algo.cache(requester).find(holder), nullptr)
+  EXPECT_FALSE(algo.cache(requester).find(holder))
       << "entry for a dead source must be dropped";
   w.live.set_online(holder, true);
 }

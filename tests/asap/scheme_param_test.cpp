@@ -56,9 +56,9 @@ TEST_P(AsapSchemeTest, CachedVersionsNeverExceedTheSource) {
   w.engine.run_until(300.0);  // a few refresh rounds
   for (NodeId n = 0; n < TestWorld::kNodes; ++n) {
     const auto& cache = algo.cache(n);
-    for (std::size_t i = 0; i < cache.entries().size(); ++i) {
-      const NodeId src = cache.sources()[i];
-      EXPECT_LE(cache.entries()[i].ad->version, algo.advertiser(src).version())
+    for (const auto& e : cache.entries()) {
+      const NodeId src = e.ad->source;
+      EXPECT_LE(e.ad->version, algo.advertiser(src).version())
           << "cache at " << n << " holds a version from the future of "
           << src;
     }

@@ -128,6 +128,28 @@ TEST(SuperpeerAsap, MemoryConcentratesOnSuperpeers) {
   EXPECT_GT(sp_algo.total_cached_ads(), 0u);
 }
 
+TEST(SuperpeerAsap, StateBytesCoverItsCaches) {
+  // Superpeer runs report their own footprint in results.json. The same
+  // world warmed with caching disabled holds everything but the caches'
+  // contents (a capacity-0 cache draws no randomness), so the difference
+  // is exactly what the proxy caches own.
+  TestWorld w, bare_world;
+  SuperpeerAsap algo(w.ctx, test_params());
+  SuperpeerParams bare_params = test_params();
+  bare_params.cache_capacity = 0;
+  SuperpeerAsap bare(bare_world.ctx, bare_params);
+  warm(w, algo);
+  warm(bare_world, bare);
+  ASSERT_GT(algo.total_cached_ads(), 0u);
+  std::uint64_t caches = 0;
+  for (NodeId n = 0; n < TestWorld::kNodes; ++n) {
+    caches += algo.cache(n).memory_bytes();
+  }
+  EXPECT_GT(caches, 0u);
+  EXPECT_GT(bare.state_bytes(), 0u) << "advertisers and hierarchy are state";
+  EXPECT_EQ(algo.state_bytes(), bare.state_bytes() + caches);
+}
+
 TEST(SuperpeerAsap, ContentChangeFlowsThroughProxy) {
   TestWorld w;
   SuperpeerAsap algo(w.ctx, test_params());

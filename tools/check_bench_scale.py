@@ -18,7 +18,13 @@ re-check):
     synthesis (no materialized event vector),
   * the 1M world build stayed under MAX_BUILD_SECONDS (catches an
     accidental O(n^2) regression in a generator, with a wide margin
-    for slow machines).
+    for slow machines),
+  * every asap(rw) row holds overlay + node state in at most
+    MAX_ASAP_BYTES_PER_NODE bytes per node (the slimmed ad-cache and
+    advertiser state, DESIGN.md §18).
+
+Each row is measured in its own process, so peak_rss_bytes is that
+row's own high-water mark.
 """
 import json
 import sys
@@ -33,6 +39,9 @@ MILLION = 1_000_000
 STREAMING_FLOOR = 100_000
 # 1M world build wall-clock ceiling (generous: ~20x the measured value).
 MAX_BUILD_SECONDS = 600.0
+# asap(rw) footprint ceiling: half of the 116,315 B/node the 10k row
+# measured before the ad-cache and advertiser state were slimmed.
+MAX_ASAP_BYTES_PER_NODE = 58_000.0
 
 REQUIRED_FIELDS = {
     "scale": NUM,
@@ -123,9 +132,18 @@ def main():
             fail(f"--enforce: 1M world build took "
                  f"{row['world_build_seconds']:.1f}s "
                  f"> ceiling {MAX_BUILD_SECONDS}")
+        asap = [r for r in rows if r["algo"] == "asap(rw)"]
+        if not asap:
+            fail("--enforce: no asap(rw) row")
+        for r in asap:
+            if r["bytes_per_node"] > MAX_ASAP_BYTES_PER_NODE:
+                fail(f"--enforce: asap(rw) at {int(r['scale'])} nodes holds "
+                     f"{r['bytes_per_node']:.1f} B/node > ceiling "
+                     f"{MAX_ASAP_BYTES_PER_NODE:.0f}")
         print(f"check_bench_scale: OK (enforced: 1M row at "
               f"{row['bytes_per_node']:.1f} B/node, built in "
-              f"{row['world_build_seconds']:.1f}s, "
+              f"{row['world_build_seconds']:.1f}s; asap(rw) at most "
+              f"{max(r['bytes_per_node'] for r in asap):.1f} B/node; "
               f"{len(rows)} rows over scales {scales})")
     else:
         print(f"check_bench_scale: OK ({len(rows)} rows over "
