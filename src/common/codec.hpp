@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory_resource>
 #include <span>
 #include <string>
 #include <vector>
@@ -30,24 +29,15 @@ class DecodeError : public std::runtime_error {
 
 class Writer {
  public:
-  Writer() = default;
-  /// Draws buffer storage from `mr` — e.g. a sim::SlabResource over an
-  /// engine's SlabPool (sim/slab_pool.hpp) — so steady-state message
-  /// encoding recycles pooled blocks instead of hitting the global
-  /// allocator. `mr` must outlive the Writer.
-  explicit Writer(std::pmr::memory_resource* mr) : buf_(mr) {}
-
-  const std::pmr::vector<std::uint8_t>& buffer() const { return buf_; }
+  const std::vector<std::uint8_t>& buffer() const { return buf_; }
   std::size_t size() const { return buf_.size(); }
 
   /// Discards contents but keeps capacity: one Writer can encode a stream
   /// of messages with at most one buffer growth overall.
   void clear() { buf_.clear(); }
 
-  /// Contents as a plain vector (copies out of the pooled buffer).
-  std::vector<std::uint8_t> to_vector() const {
-    return {buf_.begin(), buf_.end()};
-  }
+  /// A copy of the contents.
+  std::vector<std::uint8_t> to_vector() const { return buf_; }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
   /// Fixed-width little-endian.
@@ -60,7 +50,7 @@ class Writer {
   void bytes(std::span<const std::uint8_t> data);
 
  private:
-  std::pmr::vector<std::uint8_t> buf_;
+  std::vector<std::uint8_t> buf_;
 };
 
 class Reader {

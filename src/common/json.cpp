@@ -285,8 +285,15 @@ class Parser {
   Value parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      }
+      ++depth_;
+      Value v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return Value(parse_string());
     if (c == 't') {
       if (!consume_literal("true")) fail("bad literal");
@@ -464,6 +471,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< containers open around the current value
 };
 
 }  // namespace

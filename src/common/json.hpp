@@ -15,6 +15,7 @@
 //     dump(parse(s)) is byte-stable for machine-generated files.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -82,8 +83,13 @@ std::string dump(const Value& v);
 /// newline — the JSONL form the trace sink emits one record per line.
 std::string dump_compact(const Value& v);
 
+/// Deepest array/object nesting parse() accepts. The parser recurses once
+/// per container, so an unbounded depth lets a hostile file overflow the
+/// stack; committed files nest at most 5 deep.
+inline constexpr std::size_t kMaxDepth = 256;
+
 /// Parses a complete JSON document; throws ConfigError with position info
-/// on malformed input or trailing garbage.
+/// on malformed input, trailing garbage, or nesting deeper than kMaxDepth.
 Value parse(std::string_view text);
 
 }  // namespace asap::json

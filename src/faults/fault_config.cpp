@@ -1,6 +1,8 @@
 #include "faults/fault_config.hpp"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -241,20 +243,31 @@ FaultScenario scenario_from_json(const json::Value& v) {
     const json::Value* f = v.find(key);
     return f != nullptr ? f->as_double() : fallback;
   };
+  // A count must be an integer in [0, 2^32 - 1]: casting a negative,
+  // fractional or oversized double to uint32 is undefined or truncates.
+  const auto count = [&](const char* key, std::uint32_t fallback) {
+    const json::Value* f = v.find(key);
+    if (f == nullptr) return fallback;
+    const double d = f->as_double();
+    if (!(d >= 0.0 && d <= std::numeric_limits<std::uint32_t>::max() &&
+          d == std::floor(d))) {
+      throw ConfigError(std::string("faults: ") + key +
+                        " must be an integer in [0, 4294967295]");
+    }
+    return static_cast<std::uint32_t>(d);
+  };
   c.crash_fraction = num("crash_fraction", c.crash_fraction);
   c.crash_detection = num("crash_detection_s", c.crash_detection);
   c.link_loss = num("link_loss", c.link_loss);
   c.latency_jitter = num("latency_jitter", c.latency_jitter);
-  c.partitions = static_cast<std::uint32_t>(num("partitions", c.partitions));
+  c.partitions = count("partitions", c.partitions);
   c.partition_duration = num("partition_duration_s", c.partition_duration);
   c.partition_fraction = num("partition_fraction", c.partition_fraction);
-  c.bursts = static_cast<std::uint32_t>(num("bursts", c.bursts));
+  c.bursts = count("bursts", c.bursts);
   c.burst_duration = num("burst_duration_s", c.burst_duration);
   c.burst_loss = num("burst_loss", c.burst_loss);
-  c.confirm_attempts =
-      static_cast<std::uint32_t>(num("confirm_attempts", c.confirm_attempts));
-  c.stale_strikes =
-      static_cast<std::uint32_t>(num("stale_strikes", c.stale_strikes));
+  c.confirm_attempts = count("confirm_attempts", c.confirm_attempts);
+  c.stale_strikes = count("stale_strikes", c.stale_strikes);
   c.confirm_backoff = num("confirm_backoff_s", c.confirm_backoff);
   const auto flag = [&](const char* key, bool fallback) {
     const json::Value* f = v.find(key);
@@ -265,16 +278,13 @@ FaultScenario scenario_from_json(const json::Value& v) {
       num("stale_advertiser_fraction", c.stale_advertiser_fraction);
   c.confirm_dropper_fraction =
       num("confirm_dropper_fraction", c.confirm_dropper_fraction);
-  c.pollution_bits =
-      static_cast<std::uint32_t>(num("pollution_bits", c.pollution_bits));
-  c.storms = static_cast<std::uint32_t>(num("storms", c.storms));
+  c.pollution_bits = count("pollution_bits", c.pollution_bits);
+  c.storms = count("storms", c.storms);
   c.storm_duration = num("storm_duration_s", c.storm_duration);
-  c.storm_emitters =
-      static_cast<std::uint32_t>(num("storm_emitters", c.storm_emitters));
-  c.storm_queries_per_emitter = static_cast<std::uint32_t>(
-      num("storm_queries_per_emitter", c.storm_queries_per_emitter));
-  c.storm_hot_terms =
-      static_cast<std::uint32_t>(num("storm_hot_terms", c.storm_hot_terms));
+  c.storm_emitters = count("storm_emitters", c.storm_emitters);
+  c.storm_queries_per_emitter =
+      count("storm_queries_per_emitter", c.storm_queries_per_emitter);
+  c.storm_hot_terms = count("storm_hot_terms", c.storm_hot_terms);
   c.trust_enabled = flag("trust_enabled", c.trust_enabled);
   c.trust_reward = num("trust_reward", c.trust_reward);
   c.trust_strike_decay = num("trust_strike_decay", c.trust_strike_decay);
@@ -284,10 +294,8 @@ FaultScenario scenario_from_json(const json::Value& v) {
       num("trust_quarantine_backoff_s", c.trust_quarantine_backoff);
   c.trust_fill_gate = num("trust_fill_gate", c.trust_fill_gate);
   c.strike_per_chain = flag("strike_per_chain", c.strike_per_chain);
-  c.pending_query_cap =
-      static_cast<std::uint32_t>(num("pending_query_cap", c.pending_query_cap));
-  c.ttl_clamp_depth =
-      static_cast<std::uint32_t>(num("ttl_clamp_depth", c.ttl_clamp_depth));
+  c.pending_query_cap = count("pending_query_cap", c.pending_query_cap);
+  c.ttl_clamp_depth = count("ttl_clamp_depth", c.ttl_clamp_depth);
   c.validate();
   return s;
 }

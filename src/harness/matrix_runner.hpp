@@ -50,10 +50,8 @@ struct MatrixSpec {
   std::uint64_t seed = 42;
   /// Independently-seeded repetitions per (algorithm × topology) cell.
   std::uint32_t trials = 1;
-  /// Worker threads (0 = hardware lanes, clamped >= 1 via
-  /// exec::hardware_lanes()). Never affects results. Engine shard counts
-  /// ride RunOptions::engine_tuning.shards in `options`/`options_for`
-  /// and never affect results either (DESIGN.md §14).
+  /// Worker threads (0 = hardware concurrency, clamped >= 1 by
+  /// ThreadPool). Never affects results.
   std::size_t jobs = 0;
   /// Override the preset's query count (0 = preset default).
   std::uint32_t queries = 0;

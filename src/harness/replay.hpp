@@ -103,11 +103,10 @@ struct RunOptions {
   /// digest is bit-identical with and without an observer attached
   /// (enforced by tests/harness/observability_test.cpp, tier 1).
   obs::RunObserver* observer = nullptr;
-  /// Event-queue tuning (sim/engine.hpp). Any setting pops events in the
-  /// same (time, seq) order, so the run digest is invariant across heap,
-  /// ladder, and forced-pool-callback configurations (enforced by
-  /// tests/harness/engine_digest_test.cpp, tier 1); non-default values are
-  /// for tests and benches only.
+  /// Engine tuning (sim/engine.hpp). Any setting pops events in the same
+  /// (time, seq) order, so the run digest is invariant across inline and
+  /// forced-pool callbacks (enforced by tests/harness/engine_digest_test.cpp,
+  /// tier 1); non-default values are for tests only.
   sim::EngineTuning engine_tuning;
 };
 

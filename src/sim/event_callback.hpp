@@ -1,4 +1,4 @@
-// Allocation-free event callbacks (ISSUE 6 / DESIGN.md §12).
+// Allocation-free event callbacks (DESIGN.md §12).
 //
 // Every scheduled event used to carry a std::function<void()>: one heap
 // allocation per event for any capture beyond ~16 bytes, plus an
@@ -106,16 +106,6 @@ class EventCallback {
     }
   }
 
-  /// Batch variant targeting L2 (locality hint 2): used for events a few
-  /// dozen pops away, where an L1 line would be evicted again before use
-  /// and a burst of full-latency prefetches would saturate the miss
-  /// buffers anyway.
-  void prefetch_far() const {
-    if (ops_ != nullptr && !ops_->inline_storage) {
-      __builtin_prefetch(storage_.heap.obj, 0, 2);
-    }
-  }
-
  private:
   union Storage {
     /// Out-of-line closures: block pointer plus what deallocate() needs.
@@ -133,10 +123,10 @@ class EventCallback {
     /// Move the closure from one Storage to another and leave the source
     /// destroyed (inline) or disowned (heap). nullptr marks a trivially
     /// relocatable closure: moving is a raw byte copy of the Storage.
-    /// Queue Items relocate constantly (heap sifts, rung spreads, bottom
-    /// sorts), and an indirect call per move is measurably slower than
-    /// the inlined memcpy — std::function wins exactly there, since its
-    /// move never calls the manager. Pool-backed closures are always
+    /// Queue Items relocate constantly (every heap sift moves some), and
+    /// an indirect call per move is measurably slower than the inlined
+    /// memcpy — std::function wins exactly there, since its move never
+    /// calls the manager. Pool-backed closures are always
     /// trivial to relocate (ownership is three words).
     void (*relocate)(Storage& from, Storage& to);
     bool inline_storage;

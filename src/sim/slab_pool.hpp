@@ -1,10 +1,10 @@
 // Slab/pool allocator for short-lived simulation objects.
 //
 // The event loop churns through millions of small, same-shaped blocks:
-// oversized event closures (event_callback.hpp) and wire-message payload
-// buffers. Hitting the global allocator for each one costs a malloc/free
-// pair per event — measured as the dominant term once the AdCache fast
-// path landed (ISSUE 6). A SlabPool instead carves fixed-size blocks out
+// oversized event closures (event_callback.hpp). Hitting the global
+// allocator for each one costs a malloc/free pair per event — measured as
+// the dominant term once the AdCache fast path landed (DESIGN.md §12). A
+// SlabPool instead carves fixed-size blocks out
 // of geometrically-growing slabs and recycles them through per-class
 // free lists: allocate/deallocate are a pointer pop/push, no locks, no
 // per-block headers.
@@ -24,7 +24,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <memory_resource>
 #include <new>
 #include <vector>
 
@@ -110,30 +109,6 @@ class SlabPool {
   std::vector<std::unique_ptr<std::byte[]>> slabs_;
   std::size_t live_ = 0;
   std::size_t reserved_ = 0;
-};
-
-/// std::pmr adapter so standard containers — in particular wire-message
-/// payload buffers (wire::Writer) — can draw their storage from a
-/// SlabPool. The pool must outlive every container using the resource.
-class SlabResource final : public std::pmr::memory_resource {
- public:
-  explicit SlabResource(SlabPool& pool) : pool_(&pool) {}
-
- private:
-  void* do_allocate(std::size_t bytes, std::size_t alignment) override {
-    ASAP_REQUIRE(alignment <= SlabPool::kAlign,
-                 "over-aligned slab pool request");
-    return pool_->allocate(bytes);
-  }
-  void do_deallocate(void* p, std::size_t bytes, std::size_t) override {
-    pool_->deallocate(p, bytes);
-  }
-  bool do_is_equal(
-      const std::pmr::memory_resource& other) const noexcept override {
-    return this == &other;
-  }
-
-  SlabPool* pool_;
 };
 
 }  // namespace asap::sim

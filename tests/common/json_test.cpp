@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -55,6 +56,31 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(parse("\"unterminated"), ConfigError);
   EXPECT_THROW(parse("{\"a\" 1}"), ConfigError);
   EXPECT_THROW(parse("+5"), ConfigError);
+  // Hostile nesting must fail cleanly, not overflow the parser's stack.
+  EXPECT_THROW(parse(std::string(100'000, '[')), ConfigError);
+  std::string objects;
+  for (int i = 0; i < 100'000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(parse(objects), ConfigError);
+}
+
+TEST(Json, NestingIsCappedAtMaxDepth) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const Value at_cap = parse(nested(kMaxDepth));
+  const Value* v = &at_cap;
+  for (std::size_t d = 1; d < kMaxDepth; ++d) {
+    ASSERT_EQ(v->as_array().size(), 1u);
+    v = &v->as_array()[0];
+  }
+  EXPECT_TRUE(v->as_array().empty());
+  EXPECT_THROW(parse(nested(kMaxDepth + 1)), ConfigError);
+  // Objects count toward the same cap.
+  std::string obj;
+  for (std::size_t d = 0; d < kMaxDepth; ++d) obj += "{\"a\":";
+  obj += "1" + std::string(kMaxDepth, '}');
+  EXPECT_NO_THROW(parse(obj));
+  EXPECT_THROW(parse("[" + obj + "]"), ConfigError);
 }
 
 TEST(Json, TypedAccessorsCheckTypes) {

@@ -29,6 +29,9 @@ TEST(ThreadPool, SingleWorkerStillCompletes) {
   }
   for (auto& f : futs) f.get();
   EXPECT_EQ(counter.load(), 50);
+  // 0 sizes the pool to the hardware, which may report 0 lanes; the pool
+  // must still get a worker (MatrixRunner's jobs = 0 relies on it).
+  EXPECT_GE(ThreadPool(0).size(), 1u);
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {

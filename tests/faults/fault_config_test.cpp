@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 #include "common/json.hpp"
 
@@ -136,6 +138,44 @@ TEST(FaultScenarioJson, AbsentKeysKeepDefaultsAndBadValuesThrow) {
   bad.emplace_back("name", "broken");
   bad.emplace_back("crash_fraction", 7.0);
   EXPECT_THROW(scenario_from_json(json::Value(std::move(bad))), ConfigError);
+}
+
+TEST(FaultScenarioJson, CountFieldsMustBeUint32Integers) {
+  const auto with = [](const char* key, double value) {
+    json::Object o;
+    o.emplace_back("name", "counts");
+    o.emplace_back(key, value);
+    return json::Value(std::move(o));
+  };
+  for (const char* key :
+       {"partitions", "bursts", "confirm_attempts", "stale_strikes",
+        "pollution_bits", "storms", "storm_emitters",
+        "storm_queries_per_emitter", "storm_hot_terms", "pending_query_cap",
+        "ttl_clamp_depth"}) {
+    for (const double bad : {-1.0, 2.5, 1e30, 4294967296.0}) {
+      try {
+        scenario_from_json(with(key, bad));
+        ADD_FAILURE() << key << " = " << bad << " was accepted";
+      } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << "error does not name the key: " << e.what();
+      }
+    }
+  }
+  // The whole uint32 range stays accepted.
+  EXPECT_EQ(scenario_from_json(with("pollution_bits", 4294967295.0))
+                .config.pollution_bits,
+            4294967295u);
+  EXPECT_EQ(scenario_from_json(with("partitions", 0.0)).config.partitions, 0u);
+}
+
+TEST(FaultScenarioJson, EveryPresetRoundTripsUnchanged) {
+  for (const std::string& name : fault_preset_names()) {
+    const json::Value doc = scenario_to_json(fault_preset(name));
+    EXPECT_EQ(json::dump(scenario_to_json(scenario_from_json(doc))),
+              json::dump(doc))
+        << name;
+  }
 }
 
 }  // namespace

@@ -1,12 +1,10 @@
 // Determinism gate for the adversarial fault domain: Byzantine roles,
 // storm schedules and the trust/overload defenses are all compiled from
 // seeded plans and per-node RNG streams, so an adversarial run must be a
-// pure function of (world, seed) — bit-identical across event-loop shard
-// counts and across both execution-policy digest families (counter keys
-// and causal keys), exactly like the crash/partition presets before it.
+// pure function of (world, seed) — bit-identical when repeated and when
+// every event closure takes the engine's pooled-callback path, exactly
+// like the crash/partition presets before it.
 #include <gtest/gtest.h>
-
-#include <cstddef>
 
 #include "faults/fault_config.hpp"
 #include "harness/replay.hpp"
@@ -40,29 +38,21 @@ class AdversarialDigestTest : public ::testing::Test {
 
 World* AdversarialDigestTest::world_ = nullptr;
 
-constexpr std::size_t kShardCounts[] = {1, 2, 8};
 constexpr const char* kPresets[] = {"polluted", "storm", "byzantine"};
 
-TEST_F(AdversarialDigestTest, PresetsDigestIdenticallyAcrossShardsAndKeys) {
+TEST_F(AdversarialDigestTest, PresetsDigestIdenticallyWhenRepeatedAndPooled) {
   for (const char* preset : kPresets) {
-    RunOptions base_opts;
-    base_opts.faults = faults::fault_preset(preset).config;
-    for (const bool causal : {false, true}) {
-      base_opts.engine_tuning.causal_keys = causal;
-      base_opts.engine_tuning.shards = 1;
-      const auto base =
-          run_experiment(*world_, AlgoKind::kAsapRw, base_opts);
-      ASSERT_NE(base.digest, 0u) << preset << " / causal=" << causal;
-      for (const std::size_t shards : kShardCounts) {
-        RunOptions opts = base_opts;
-        opts.engine_tuning.shards = shards;
-        const auto res = run_experiment(*world_, AlgoKind::kAsapRw, opts);
-        EXPECT_EQ(res.digest, base.digest)
-            << preset << " / causal=" << causal << " / shards=" << shards;
-        EXPECT_EQ(res.engine_events, base.engine_events)
-            << preset << " / causal=" << causal << " / shards=" << shards;
-      }
-    }
+    RunOptions opts;
+    opts.faults = faults::fault_preset(preset).config;
+    const auto base = run_experiment(*world_, AlgoKind::kAsapRw, opts);
+    ASSERT_NE(base.digest, 0u) << preset;
+    const auto again = run_experiment(*world_, AlgoKind::kAsapRw, opts);
+    EXPECT_EQ(again.digest, base.digest) << preset << " / repeated";
+    EXPECT_EQ(again.engine_events, base.engine_events) << preset;
+    opts.engine_tuning.force_heap_callbacks = true;
+    const auto pooled = run_experiment(*world_, AlgoKind::kAsapRw, opts);
+    EXPECT_EQ(pooled.digest, base.digest) << preset << " / pooled";
+    EXPECT_EQ(pooled.engine_events, base.engine_events) << preset;
   }
 }
 

@@ -1,12 +1,7 @@
-// ISSUE 6 acceptance sweep: the event-queue structure (4-ary heap vs
-// ladder queue, including mid-run migrations) and the callback storage
-// path (inline SBO vs forced SlabPool fallback) are pure speed choices —
-// every configuration must replay a world to a bit-identical run digest,
-// for all six algorithms, with and without fault injection.
+// The callback storage path (inline SBO vs forced SlabPool fallback) is a
+// pure speed choice: both must replay a world to a bit-identical run
+// digest, for all six algorithms, with and without fault injection.
 #include <gtest/gtest.h>
-
-#include <cstddef>
-#include <vector>
 
 #include "faults/fault_config.hpp"
 #include "harness/replay.hpp"
@@ -16,7 +11,7 @@ namespace asap::harness {
 namespace {
 
 /// Smaller than determinism_test's world: this suite replays 6 algorithms
-/// x 3 fault presets x 4 engine configurations.
+/// x 3 fault presets x 2 engine configurations.
 ExperimentConfig sweep_config() {
   auto cfg = ExperimentConfig::make(Preset::kSmall, TopologyKind::kCrawled, 23);
   cfg.content.initial_nodes = 300;
@@ -42,63 +37,35 @@ class EngineDigestTest : public ::testing::Test {
 
 World* EngineDigestTest::world_ = nullptr;
 
-struct NamedTuning {
-  const char* name;
-  sim::EngineTuning tuning;
-};
-
-std::vector<NamedTuning> tuning_sweep() {
-  sim::EngineTuning heap_only;
-  heap_only.ladder_threshold = static_cast<std::size_t>(-1);
-
-  sim::EngineTuning ladder_only;
-  ladder_only.ladder_threshold = 0;
-  ladder_only.heap_threshold = 0;
-
-  sim::EngineTuning pooled;
-  pooled.force_heap_callbacks = true;
-
-  return {
-      {"heap-only", heap_only},
-      {"ladder-only", ladder_only},
-      {"forced-pool-callbacks", pooled},
-  };
+/// `opts` with every event closure forced through the engine's SlabPool.
+RunOptions pooled(RunOptions opts) {
+  opts.engine_tuning.force_heap_callbacks = true;
+  return opts;
 }
 
 TEST_F(EngineDigestTest, AllQueueAndCallbackPathsMatchDefaultDigest) {
   for (const auto kind : kAllAlgos) {
     const auto base = run_experiment(*world_, kind);
     ASSERT_NE(base.digest, 0u) << algo_name(kind);
-    for (const auto& [name, tuning] : tuning_sweep()) {
-      RunOptions opts;
-      opts.engine_tuning = tuning;
-      const auto res = run_experiment(*world_, kind, opts);
-      EXPECT_EQ(res.digest, base.digest) << algo_name(kind) << " / " << name;
-      EXPECT_EQ(res.engine_events, base.engine_events)
-          << algo_name(kind) << " / " << name;
-    }
+    const auto res = run_experiment(*world_, kind, pooled(RunOptions{}));
+    EXPECT_EQ(res.digest, base.digest) << algo_name(kind);
+    EXPECT_EQ(res.engine_events, base.engine_events) << algo_name(kind);
   }
 }
 
 TEST_F(EngineDigestTest, SweepHoldsUnderFaultPresets) {
   // Fault injection reshapes the event population (crash timers, burst
-  // windows, jittered latencies) — exactly the traffic that stresses
-  // rung rebuilds — so the identity must hold under the PR 5 presets too.
-  // A representative algorithm pair keeps the suite's runtime bounded:
-  // one baseline, one ASAP variant.
+  // windows, jittered latencies), so the identity must hold under the
+  // fault presets too. A representative algorithm pair keeps the suite's
+  // runtime bounded: one baseline, one ASAP variant.
   for (const auto kind : {AlgoKind::kFlooding, AlgoKind::kAsapRw}) {
     for (const char* preset : {"churn", "chaos"}) {
       RunOptions base_opts;
       base_opts.faults = faults::fault_preset(preset).config;
       const auto base = run_experiment(*world_, kind, base_opts);
       ASSERT_NE(base.digest, 0u) << algo_name(kind) << " / " << preset;
-      for (const auto& [name, tuning] : tuning_sweep()) {
-        RunOptions opts = base_opts;
-        opts.engine_tuning = tuning;
-        const auto res = run_experiment(*world_, kind, opts);
-        EXPECT_EQ(res.digest, base.digest)
-            << algo_name(kind) << " / " << preset << " / " << name;
-      }
+      const auto res = run_experiment(*world_, kind, pooled(base_opts));
+      EXPECT_EQ(res.digest, base.digest) << algo_name(kind) << " / " << preset;
     }
   }
 }

@@ -81,7 +81,9 @@ TEST(ScaleAxis, SpecRoundTripsThroughResultsJson) {
 
 TEST(ScaleAxis, PreScaleDocumentsParseWithDefaults) {
   // results.json written before the scale axis existed carries neither
-  // key; spec_from_json must default them, not throw.
+  // key; spec_from_json must default them, not throw. Files from when the
+  // engine had a shard axis carry "shards", which must parse and be
+  // ignored.
   auto spec = tiny_spec();
   spec.algos = {AlgoKind::kFlooding};
   const auto result = run_matrix(spec);
@@ -92,6 +94,7 @@ TEST(ScaleAxis, PreScaleDocumentsParseWithDefaults) {
     std::erase_if(spec_obj, [](const auto& kv) {
       return kv.first == "scale" || kv.first == "stream_trace";
     });
+    spec_obj.emplace_back("shards", 4.0);
   }
   const auto parsed = spec_from_json(json::parse(json::dump(doc)));
   EXPECT_EQ(parsed.scale, 0u);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -122,28 +123,12 @@ TEST(Engine, HeapStressRandomOrder) {
   EXPECT_EQ(executed, 5'000);
 }
 
-TEST(Engine, MigratesBetweenHeapAndLadderWithHysteresis) {
-  EngineTuning tuning;
-  tuning.ladder_threshold = 100;
-  tuning.heap_threshold = 20;
-  Engine e(tuning);
-  Rng rng(3);
-  for (int i = 0; i < 100; ++i) e.schedule_at(rng.uniform(0.0, 50.0), [] {});
-  EXPECT_FALSE(e.using_ladder()) << "at the threshold, still on the heap";
-  e.schedule_at(rng.uniform(0.0, 50.0), [] {});
-  EXPECT_TRUE(e.using_ladder()) << "crossing the threshold migrates";
-  while (e.pending() > tuning.heap_threshold) e.step();
-  EXPECT_TRUE(e.using_ladder()) << "hysteresis: no flap at the boundary";
-  while (e.step()) {
-  }
-  EXPECT_FALSE(e.using_ladder()) << "draining below heap_threshold migrates back";
-  EXPECT_EQ(e.executed(), 101u);
-}
-
 TEST(Engine, DigestIdenticalAcrossQueueAndCallbackConfigurations) {
-  // The acceptance bar of ISSUE 6: the digest hashes executed (time, seq)
-  // pairs, so heap-only, ladder-only, hybrid, and forced-pool-callback
-  // configurations must be bit-identical.
+  // The digest hashes executed (time, seq) pairs, so inline and
+  // forced-pool callbacks must agree bit for bit. The expected constant is
+  // the digest the previous heap/ladder engine computed for this workload,
+  // so the pop order is checked against that engine, not only against
+  // itself.
   const auto run_with = [](const EngineTuning& tuning) {
     Engine e(tuning);
     Rng rng(0xD1CE5);
@@ -163,21 +148,7 @@ TEST(Engine, DigestIdenticalAcrossQueueAndCallbackConfigurations) {
   };
 
   const std::uint64_t base = run_with(EngineTuning{});
-  ASSERT_NE(base, 0u);
-
-  EngineTuning heap_only;
-  heap_only.ladder_threshold = static_cast<std::size_t>(-1);
-  EXPECT_EQ(run_with(heap_only), base) << "heap-only digest diverged";
-
-  EngineTuning ladder_only;
-  ladder_only.ladder_threshold = 0;
-  ladder_only.heap_threshold = 0;
-  EXPECT_EQ(run_with(ladder_only), base) << "ladder-only digest diverged";
-
-  EngineTuning thrash;
-  thrash.ladder_threshold = 64;
-  thrash.heap_threshold = 48;
-  EXPECT_EQ(run_with(thrash), base) << "migration-heavy digest diverged";
+  EXPECT_EQ(base, 0x2b69745dec3ef955ULL) << "default digest moved";
 
   EngineTuning pooled;
   pooled.force_heap_callbacks = true;

@@ -1,9 +1,7 @@
-// SlabPool: size classes, LIFO recycling, oversize fallback, and the
-// std::pmr adapter used for pooled wire-payload buffers.
+// SlabPool: size classes, LIFO recycling and oversize fallback.
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <memory_resource>
 #include <set>
 #include <vector>
 
@@ -76,21 +74,6 @@ TEST(SlabPool, SlabsGrowGeometricallyWithCappedReservation) {
   EXPECT_EQ(pool.live_blocks(), blocks.size());
   EXPECT_GE(pool.reserved_bytes(), blocks.size() * 64);
   for (void* p : blocks) pool.deallocate(p, 64);
-}
-
-TEST(SlabPool, SlabResourceBacksPmrContainers) {
-  SlabPool pool;
-  SlabResource mr(pool);
-  {
-    std::pmr::vector<std::uint8_t> buf(&mr);
-    for (int i = 0; i < 1000; ++i) buf.push_back(static_cast<std::uint8_t>(i));
-    EXPECT_GT(pool.reserved_bytes(), 0u);
-    for (int i = 0; i < 1000; ++i) {
-      ASSERT_EQ(buf[static_cast<std::size_t>(i)], static_cast<std::uint8_t>(i));
-    }
-  }
-  // Vector destruction returned every block to the pool.
-  EXPECT_EQ(pool.live_blocks(), 0u);
 }
 
 }  // namespace

@@ -36,7 +36,6 @@ struct CliArgs {
   std::uint64_t seed = 42;
   std::uint32_t queries = 0;  // 0 = preset default
   std::size_t jobs = 0;
-  std::size_t shards = 1;  // event-loop shards per run (0 = auto)
   std::uint32_t scale = 0;   // node-count override (0 = preset default)
   bool stream_trace = false;  // force on-demand trace synthesis
   std::string csv_path;
@@ -120,9 +119,6 @@ void print_usage() {
   --seed N                    master seed (default 42)
   --queries N                 override query count
   --jobs N                    parallel cells (default: hardware)
-  --shards N                  event-loop shards per run (default 1;
-                              0 = hardware). Run digests are bit-identical
-                              across shard counts (DESIGN.md section 14)
   --scale N                   re-dimension the world to N peers (the scale
                               axis, DESIGN.md section 15); >= 100k nodes
                               auto-enable streaming trace synthesis
@@ -226,8 +222,6 @@ CliArgs parse(int argc, char** argv) {
       args.queries = static_cast<std::uint32_t>(std::stoul(next()));
     } else if (flag == "--jobs") {
       args.jobs = std::stoul(next());
-    } else if (flag == "--shards") {
-      args.shards = std::stoul(next());
     } else if (flag == "--scale") {
       args.scale = static_cast<std::uint32_t>(std::stoul(next()));
     } else if (flag == "--stream-trace") {
@@ -289,7 +283,6 @@ CliArgs parse(int argc, char** argv) {
 harness::RunOptions options_for(const CliArgs& args, harness::AlgoKind kind) {
   harness::RunOptions opts;
   opts.audit = opts.audit || args.audit;
-  opts.engine_tuning.shards = args.shards;
   if (!harness::is_asap(kind)) return opts;
   auto p = harness::default_asap_params(kind, args.preset);
   if (args.m0) p.budget_unit_m0 = *args.m0;
@@ -377,7 +370,6 @@ int run_matrix_mode(const CliArgs& args) {
   spec.scale = args.scale;
   spec.stream_trace = args.stream_trace;
   spec.options.audit = args.audit;
-  spec.options.engine_tuning.shards = args.shards;
   if (!args.fault_scenarios.empty()) {
     spec.fault_scenarios = args.fault_scenarios;
   }
