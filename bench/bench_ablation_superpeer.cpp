@@ -8,80 +8,11 @@
 // time) and sensitivity to superpeer liveness.
 #include <iostream>
 
-#include "asap/superpeer.hpp"
+#include "asap/asap_protocol.hpp"
 #include "bench/support.hpp"
-#include "search/context.hpp"
-#include "sim/liveness.hpp"
-
-namespace {
-
-using namespace asap;
-
-struct SpResult {
-  metrics::SearchStats search;
-  metrics::LoadSummary load;
-  std::uint64_t cached_ads = 0;
-  std::uint32_t superpeers = 0;
-};
-
-/// Replays the world against SuperpeerAsap (the harness only knows the
-/// six built-in systems, so this bench drives the replay loop directly).
-SpResult run_superpeer(const harness::World& world,
-                       const ads::SuperpeerParams& params) {
-  const Seconds warmup = world.cfg.warmup;
-  const Seconds horizon = warmup + world.trace.horizon + 30.0;
-  overlay::Overlay ov = world.base_overlay;
-  trace::LiveContent live(world.model);
-  trace::ContentIndex index(world.model, live);
-  sim::Liveness liveness(world.model.total_node_slots(),
-                         world.model.params().initial_nodes);
-  sim::Engine engine;
-  sim::BandwidthLedger ledger(horizon);
-  Rng algo_rng(world.cfg.seed ^ 0x517CC1B727220A95ULL);
-  Rng churn_rng(world.cfg.seed ^ 0x2545F4914F6CDD1DULL);
-  search::Ctx ctx(ov, world.phys, world.node_phys, world.model, live, index,
-                  engine, ledger, world.cfg.sizes, algo_rng);
-  ads::SuperpeerAsap algo(ctx, params);
-
-  algo.warm_up(warmup);
-  for (const auto& ev : world.trace.events) {
-    const Seconds t = ev.time + warmup;
-    engine.run_until(t);
-    switch (ev.type) {
-      case trace::TraceEventType::kJoin:
-        ov.attach_new(world.cfg.join_degree, churn_rng);
-        liveness.set_online(ev.node, true, t);
-        break;
-      case trace::TraceEventType::kLeave:
-        ov.detach(ev.node);
-        liveness.set_online(ev.node, false, t);
-        break;
-      default:
-        break;
-    }
-    live.apply(ev, world.model);
-    index.apply(ev, world.model);
-    trace::TraceEvent shifted = ev;
-    shifted.time = t;
-    algo.on_trace_event(shifted);
-  }
-  engine.run_until(horizon);
-
-  SpResult out;
-  out.search = algo.stats();
-  const auto live_series = liveness.live_count_series(horizon);
-  const auto cats = harness::load_categories(harness::AlgoKind::kAsapRw);
-  out.load = metrics::reduce_load(
-      ledger, cats, live_series, static_cast<std::uint32_t>(warmup),
-      static_cast<std::uint32_t>(warmup + world.trace.horizon) + 1);
-  out.cached_ads = algo.total_cached_ads();
-  out.superpeers = algo.num_superpeers();
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
+  using namespace asap;
   auto args = bench::BenchArgs::parse(argc, argv);
   if (args.queries_override == 0) args.queries_override = 2'000;
   const auto cfg = bench::make_config(args, harness::TopologyKind::kCrawled);
@@ -91,36 +22,29 @@ int main(int argc, char** argv) {
   std::cout << "=== Ablation: flat ASAP(RW) vs superpeer ASAP(RW), crawled "
                "===\n\n";
   TextTable table({"mode", "success %", "local hit %", "resp ms",
-                   "cost/search", "load B/node/s", "cached ads total"});
+                   "cost/search", "load B/node/s", "state MB"});
+  const auto add_row = [&](const std::string& mode,
+                           const harness::RunResult& res) {
+    table.add_row({mode, TextTable::num(100.0 * res.search.success_rate(), 1),
+                   TextTable::num(100.0 * res.search.local_hit_rate(), 1),
+                   TextTable::num(1e3 * res.search.avg_response_time(), 1),
+                   TextTable::bytes(res.search.avg_cost_bytes()),
+                   TextTable::num(res.load.mean_bytes_per_node_per_sec, 1),
+                   TextTable::num(static_cast<double>(res.state_bytes) /
+                                      (1024.0 * 1024.0),
+                                  1)});
+  };
 
-  {
-    const auto flat =
-        harness::run_experiment(world, harness::AlgoKind::kAsapRw);
-    std::cerr << "[bench] flat done\n";
-    // Flat cache occupancy is not exposed via RunResult; report the load
-    // and search metrics, cache column marked from the protocol run below.
-    table.add_row({"flat asap(rw)",
-                   TextTable::num(100.0 * flat.search.success_rate(), 1),
-                   TextTable::num(100.0 * flat.search.local_hit_rate(), 1),
-                   TextTable::num(1e3 * flat.search.avg_response_time(), 1),
-                   TextTable::bytes(flat.search.avg_cost_bytes()),
-                   TextTable::num(flat.load.mean_bytes_per_node_per_sec, 1),
-                   "~every interested node"});
-  }
+  add_row("flat asap(rw)",
+          harness::run_experiment(world, harness::AlgoKind::kAsapRw));
+  std::cerr << "[bench] flat done\n";
   for (const double fraction : {0.10, 0.15, 0.25}) {
-    auto p = ads::SuperpeerParams::small(search::Scheme::kRandomWalk);
-    p.superpeer_fraction = fraction;
-    const auto res = run_superpeer(world, p);
+    harness::RunOptions opts;
+    opts.asap = ads::AsapParams::superpeer(search::Scheme::kRandomWalk);
+    opts.asap->superpeer_fraction = fraction;
+    add_row("sp-asap(rw) " + TextTable::num(100.0 * fraction, 0) + "%",
+            harness::run_experiment(world, harness::AlgoKind::kAsapRw, opts));
     std::cerr << "[bench] superpeer fraction=" << fraction << " done\n";
-    table.add_row(
-        {"sp-asap(rw) " + TextTable::num(100.0 * fraction, 0) + "% (" +
-             std::to_string(res.superpeers) + " SPs)",
-         TextTable::num(100.0 * res.search.success_rate(), 1),
-         TextTable::num(100.0 * res.search.local_hit_rate(), 1),
-         TextTable::num(1e3 * res.search.avg_response_time(), 1),
-         TextTable::bytes(res.search.avg_cost_bytes()),
-         TextTable::num(res.load.mean_bytes_per_node_per_sec, 1),
-         std::to_string(res.cached_ads)});
   }
   table.print(std::cout);
   return 0;

@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
                           world.base_overlay,
                           world.node_phys,
                           std::move(bundle.model),
-                          std::move(bundle.trace)};
+                          std::move(bundle.trace),
+                          harness::StreamingTraceInfo{}};
 
   std::cout << "replaying ASAP(RW) on both...\n";
   // (the original world's phys network was moved into `reloaded`; rebuild)

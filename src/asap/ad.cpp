@@ -43,6 +43,22 @@ Bytes delta_ad_bytes(std::size_t toggled_positions, std::size_t topics,
   return patch_ad_bytes(toggled_positions, topics, sizes) + 2;
 }
 
+Bytes ad_wire_bytes(AdKind kind, const AdPayload& ad,
+                    std::size_t toggled_positions,
+                    const sim::SizeModel& sizes) {
+  switch (kind) {
+    case AdKind::kFull:
+      return full_ad_bytes(ad, sizes);
+    case AdKind::kPatch:
+      return patch_ad_bytes(toggled_positions, ad.topics.size(), sizes);
+    case AdKind::kRefresh:
+      return refresh_ad_bytes(sizes);
+    case AdKind::kDelta:
+      return delta_ad_bytes(toggled_positions, ad.topics.size(), sizes);
+  }
+  return 0;
+}
+
 TopicMask topic_mask_of(std::span<const TopicId> topics) {
   TopicMask mask = 0;
   for (const TopicId t : topics) {

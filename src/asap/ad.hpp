@@ -209,6 +209,12 @@ Bytes refresh_ad_bytes(const sim::SizeModel& sizes);
 Bytes delta_ad_bytes(std::size_t toggled_positions, std::size_t topics,
                      const sim::SizeModel& sizes);
 
+/// Wire size of one ad of `kind` carrying payload `ad`; patch and delta
+/// ads ship `toggled_positions` filter positions.
+Bytes ad_wire_bytes(AdKind kind, const AdPayload& ad,
+                    std::size_t toggled_positions,
+                    const sim::SizeModel& sizes);
+
 /// True iff the two sorted topic vectors intersect. Reference semantics
 /// for the TopicMask test used on the hot paths.
 bool topics_overlap(const std::vector<TopicId>& a,

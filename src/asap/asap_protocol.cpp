@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "common/error.hpp"
 #include "search/propagation.hpp"
@@ -36,11 +37,29 @@ AsapParams AsapParams::small(search::Scheme s) {
   return p;
 }
 
+AsapParams AsapParams::superpeer(search::Scheme s) {
+  AsapParams p;
+  p.scheme = s;
+  p.budget_unit_m0 = 450;
+  p.cache_capacity = 4'000;
+  p.superpeer_fraction = 0.15;
+  return p;
+}
+
 AsapProtocol::AsapProtocol(search::Ctx& ctx, AsapParams params)
     : ctx_(ctx), params_(params) {
   ASAP_REQUIRE(params.budget_unit_m0 >= 1, "M0 must be positive");
+  ASAP_REQUIRE(params.superpeer_fraction >= 0.0 &&
+                   params.superpeer_fraction <= 1.0,
+               "superpeer fraction out of [0, 1]");
+  ASAP_REQUIRE(params.superpeer_fraction == 0.0 ||
+                   params.ad_mode == AdMode::kVanilla,
+               "the superpeer placement runs vanilla ad scheduling only");
   // cache_capacity 0 is allowed: AdCache treats it as caching disabled,
   // which is a useful ablation (ASAP degenerates toward its walk baseline).
+  if (params_.superpeer_fraction > 0.0) {
+    hier_.emplace(ctx, params_.superpeer_fraction);
+  }
   const auto slots = ctx.model.total_node_slots();
   advertisers_.reserve(slots);
   caches_.reserve(slots);
@@ -48,7 +67,12 @@ AsapProtocol::AsapProtocol(search::Ctx& ctx, AsapParams params)
   for (NodeId n = 0; n < slots; ++n) {
     advertisers_.emplace_back(n);
     caches_.emplace_back(params.cache_capacity);
-    interest_mask_.push_back(topic_mask_of(ctx.model.interests(n)));
+    // Superpeers cache every ad that reaches them (they serve leaves of
+    // any interest); leaves cache nothing.
+    interest_mask_.push_back(
+        !hier_            ? topic_mask_of(ctx.model.interests(n))
+        : is_superpeer(n) ? static_cast<TopicMask>(~0U)
+                          : TopicMask{0});
   }
   refresh_scheduled_.assign(slots, 0);
   if (params_.stale_readmit_backoff > 0.0) {
@@ -89,6 +113,13 @@ std::uint64_t AsapProtocol::state_bytes() const {
   for (const auto& c : caches_) total += c.memory_bytes();
   total += pending_.capacity() * sizeof(std::vector<Seconds>);
   for (const auto& q : pending_) total += q.capacity() * sizeof(Seconds);
+  if (hier_) total += hier_->memory_bytes();
+  return total;
+}
+
+std::uint64_t AsapProtocol::total_cached_ads() const {
+  std::uint64_t total = 0;
+  for (const auto& c : caches_) total += c.size();
   return total;
 }
 
@@ -133,7 +164,7 @@ void AsapProtocol::note_implausible(NodeId cacher, NodeId source, Seconds t) {
 }
 
 std::string AsapProtocol::name() const {
-  const char* mode = "asap";
+  const char* mode = hier_ ? "sp-asap" : "asap";
   switch (params_.ad_mode) {
     case AdMode::kVanilla:
       break;
@@ -164,114 +195,75 @@ std::uint64_t AsapProtocol::delivery_budget(std::size_t num_topics,
                                  static_cast<std::uint64_t>(std::llround(raw)));
 }
 
-void AsapProtocol::deliver_ad(NodeId src, AdKind kind, Seconds when,
-                              double scale, const AdPayloadPtr& payload,
-                              std::span<const std::uint32_t> patch_positions,
-                              std::uint32_t base_version) {
-  ASAP_DCHECK(payload != nullptr);
-  Bytes msg_size = 0;
-  sim::Traffic cat = sim::Traffic::kFullAd;
+// Every visit of an ad walk runs this, so it is forced inline into each
+// caller's visit lambda (defined before them, in this translation unit):
+// left to the inliner it stayed out of line, and paper-asap-rw's setup
+// and run times rose ~5% and ~10%.
+[[gnu::always_inline]] inline bool AsapProtocol::ingest(
+    NodeId v, AdKind kind, const AdPayloadPtr& ad,
+    std::span<const std::uint32_t> toggles, std::uint32_t base_version,
+    Seconds t) {
+  AdCache& cache = caches_[v];
+  const NodeId src = ad->source;
+  bool applied = false;
+  if (kind == AdKind::kFull) {
+    const auto r = cache.put(ad, t, ctx_.rng);
+    applied = r.stored;
+    if (r.stored) ASAP_OBS_HOOK(ctx_.obs, on_ad_stored(v));
+    if (r.evicted) ASAP_OBS_HOOK(ctx_.obs, on_ad_evicted(v));
+    if (r.readmitted) note_readmit(v, src, t);
+    if (r.implausible) note_implausible(v, src, t);
+  } else {
+    const UpdateOutcome outcome =
+        kind == AdKind::kPatch
+            ? cache.apply_patch(src, base_version, ad, t)
+        : kind == AdKind::kDelta
+            ? cache.apply_delta(src, base_version, toggles, ad, t)
+            : cache.on_refresh(src, ad->version, t);
+    applied = outcome == UpdateOutcome::kApplied;
+    // An applied refresh only re-validates the entry; it stores nothing.
+    if (applied && kind != AdKind::kRefresh) {
+      ASAP_OBS_HOOK(ctx_.obs, on_ad_stored(v));
+    } else if (outcome == UpdateOutcome::kInvalidated) {
+      ASAP_OBS_HOOK(ctx_.obs, on_ad_invalidated(v));
+    }
+  }
+  ASAP_AUDIT_HOOK(ctx_.auditor,
+                  on_cache_occupancy(cache.size(), params_.cache_capacity));
+  return applied;
+}
+
+void AsapProtocol::count_shipped(AdKind kind) {
   switch (kind) {
     case AdKind::kFull:
-      msg_size = full_ad_bytes(*payload, ctx_.sizes);
-      cat = sim::Traffic::kFullAd;
       ++counters_.full_ads;
       break;
     case AdKind::kPatch:
-      msg_size = patch_ad_bytes(patch_positions.size(),
-                                payload->topics.size(), ctx_.sizes);
-      cat = sim::Traffic::kPatchAd;
       ++counters_.patch_ads;
       break;
     case AdKind::kRefresh:
-      msg_size = refresh_ad_bytes(ctx_.sizes);
-      cat = sim::Traffic::kRefreshAd;
       ++counters_.refresh_ads;
       break;
     case AdKind::kDelta:
-      msg_size = delta_ad_bytes(patch_positions.size(),
-                                payload->topics.size(), ctx_.sizes);
-      cat = sim::Traffic::kPatchAd;
       ++counters_.delta_ads;
       break;
   }
+}
 
-  auto visit = [&](NodeId v, Seconds t, std::uint32_t) {
-    if (v == src) return search::VisitAction::kContinue;
-    // Selective caching: only interested nodes keep the ad (§III-B).
-    if (!interested(v, *payload)) return search::VisitAction::kContinue;
-    AdCache& cache = caches_[v];
-    switch (kind) {
-      case AdKind::kFull: {
-        const auto r = cache.put(payload, t, ctx_.rng);
-        if (r.stored) ASAP_OBS_HOOK(ctx_.obs, on_ad_stored(v));
-        if (r.evicted) ASAP_OBS_HOOK(ctx_.obs, on_ad_evicted(v));
-        if (r.readmitted) note_readmit(v, src, t);
-        if (r.implausible) note_implausible(v, src, t);
-        break;
-      }
-      case AdKind::kPatch: {
-        const auto outcome = cache.apply_patch(src, base_version, payload, t);
-        if (outcome == UpdateOutcome::kApplied) {
-          ASAP_OBS_HOOK(ctx_.obs, on_ad_stored(v));
-        } else if (outcome == UpdateOutcome::kInvalidated) {
-          ASAP_OBS_HOOK(ctx_.obs, on_ad_invalidated(v));
-        }
-        break;
-      }
-      case AdKind::kDelta: {
-        const auto outcome =
-            cache.apply_delta(src, base_version, patch_positions, payload, t);
-        if (outcome == UpdateOutcome::kApplied) {
-          ASAP_OBS_HOOK(ctx_.obs, on_ad_stored(v));
-        } else if (outcome == UpdateOutcome::kInvalidated) {
-          ASAP_OBS_HOOK(ctx_.obs, on_ad_invalidated(v));
-        }
-        break;
-      }
-      case AdKind::kRefresh: {
-        const auto outcome = cache.on_refresh(src, payload->version, t);
-        if (outcome == UpdateOutcome::kInvalidated) {
-          ASAP_OBS_HOOK(ctx_.obs, on_ad_invalidated(v));
-        }
-        const bool had = outcome == UpdateOutcome::kApplied;
-        if (!had && params_.refresh_pull) {
-          // Extension: pull the full ad straight from the source.
-          const Seconds done = t + 2.0 * ctx_.latency(v, src);
-          ASAP_AUDIT_HOOK(ctx_.auditor,
-                          on_send(sim::Traffic::kFullAd,
-                                  ctx_.sizes.confirm_request));
-          ctx_.ledger.deposit(t, sim::Traffic::kFullAd,
-                              ctx_.sizes.confirm_request);
-          const Bytes pull_bytes = full_ad_bytes(*payload, ctx_.sizes);
-          ASAP_AUDIT_HOOK(ctx_.auditor,
-                          on_send(sim::Traffic::kFullAd, pull_bytes));
-          ctx_.ledger.deposit(done, sim::Traffic::kFullAd, pull_bytes);
-          const auto r = cache.put(payload, done, ctx_.rng);
-          if (r.stored) ASAP_OBS_HOOK(ctx_.obs, on_ad_stored(v));
-          if (r.evicted) ASAP_OBS_HOOK(ctx_.obs, on_ad_evicted(v));
-          if (r.readmitted) note_readmit(v, src, done);
-          if (r.implausible) note_implausible(v, src, done);
-          ++counters_.refresh_pulls;
-        }
-        break;
-      }
-    }
-    ASAP_AUDIT_HOOK(ctx_.auditor,
-                    on_cache_occupancy(cache.size(), params_.cache_capacity));
-    return search::VisitAction::kContinue;
-  };
-
-  search::PropagationStats prop;
+template <typename Visit>
+search::PropagationStats AsapProtocol::disseminate(
+    NodeId origin, Seconds when, bool refresh_only, double scale,
+    const AdPayload& lead, Bytes msg_size, sim::Traffic cat, Visit& visit) {
+  std::optional<search::GraphScope> mesh;
+  if (hier_) mesh.emplace(ctx_, hier_->mesh());
   switch (params_.scheme) {
     case search::Scheme::kFlooding: {
-      const auto ttl = kind == AdKind::kRefresh ? params_.refresh_flood_ttl
-                                                : params_.flood_ttl;
-      prop = search::flood(ctx_, src, when, ttl, msg_size, cat, visit);
-      break;
+      const auto ttl =
+          refresh_only ? params_.refresh_flood_ttl : params_.flood_ttl;
+      return search::flood(ctx_, origin, when, ttl, msg_size, cat, visit);
     }
     case search::Scheme::kRandomWalk: {
-      const auto budget = delivery_budget(payload->topics.size(), scale);
+      const auto budget = delivery_budget(lead.topics.size(), scale);
       // Enough walkers that no single walk exceeds max_walk_hops.
       const auto walkers = std::max<std::uint64_t>(
           params_.walkers,
@@ -279,24 +271,74 @@ void AsapProtocol::deliver_ad(NodeId src, AdKind kind, Seconds when,
       const auto per_walker = std::max<std::uint64_t>(1, budget / walkers);
       if (params_.interest_bias > 1.0) {
         auto weight = [&](NodeId v) {
-          return interested(v, *payload) ? params_.interest_bias : 1.0;
+          return interested(v, lead) ? params_.interest_bias : 1.0;
         };
-        prop = search::biased_walk(ctx_, src, when,
+        return search::biased_walk(ctx_, origin, when,
                                    static_cast<std::uint32_t>(walkers),
                                    per_walker, msg_size, cat, weight, visit);
-      } else {
-        prop = search::random_walk(ctx_, src, when,
-                                   static_cast<std::uint32_t>(walkers),
-                                   per_walker, msg_size, cat, visit);
       }
-      break;
+      return search::random_walk(ctx_, origin, when,
+                                 static_cast<std::uint32_t>(walkers),
+                                 per_walker, msg_size, cat, visit);
     }
     case search::Scheme::kGsa: {
-      const auto budget = delivery_budget(payload->topics.size(), scale);
-      prop = search::gsa(ctx_, src, when, budget, msg_size, cat, visit);
-      break;
+      const auto budget = delivery_budget(lead.topics.size(), scale);
+      return search::gsa(ctx_, origin, when, budget, msg_size, cat, visit);
     }
   }
+  return {};
+}
+
+void AsapProtocol::deliver_ad(NodeId src, AdKind kind, Seconds when,
+                              double scale, const AdPayloadPtr& payload,
+                              std::span<const std::uint32_t> toggles,
+                              std::uint32_t base_version) {
+  ASAP_DCHECK(payload != nullptr);
+  const Bytes msg_size =
+      ad_wire_bytes(kind, *payload, toggles.size(), ctx_.sizes);
+  const sim::Traffic cat = kind == AdKind::kFull ? sim::Traffic::kFullAd
+                          : kind == AdKind::kRefresh
+                              ? sim::Traffic::kRefreshAd
+                              : sim::Traffic::kPatchAd;
+  count_shipped(kind);
+
+  // The spread starts at the peer that caches for the source: the source
+  // itself, or in the superpeer placement its proxy, which first receives
+  // the ad over one upload hop and caches it unconditionally.
+  const NodeId origin = hier_ ? hier_->live_proxy(src) : src;
+  if (origin == kInvalidNode) return;  // no live superpeer reachable
+  Seconds start = when;
+  if (origin != src) {
+    start = when + ctx_.latency(src, origin);
+    ASAP_AUDIT_HOOK(ctx_.auditor, on_send(cat, msg_size));
+    ctx_.ledger.deposit(start, cat, msg_size);
+    ++counters_.proxy_uploads;
+  }
+  if (hier_) ingest(origin, kind, payload, toggles, base_version, start);
+
+  auto visit = [&](NodeId v, Seconds t, std::uint32_t) {
+    if (v == origin) return search::VisitAction::kContinue;
+    // Selective caching: only interested nodes keep the ad (§III-B).
+    if (!interested(v, *payload)) return search::VisitAction::kContinue;
+    const bool applied = ingest(v, kind, payload, toggles, base_version, t);
+    if (kind == AdKind::kRefresh && !applied && params_.refresh_pull) {
+      // Extension: pull the full ad straight from the source.
+      const Seconds done = t + 2.0 * ctx_.latency(v, src);
+      ASAP_AUDIT_HOOK(ctx_.auditor, on_send(sim::Traffic::kFullAd,
+                                            ctx_.sizes.confirm_request));
+      ctx_.ledger.deposit(t, sim::Traffic::kFullAd,
+                          ctx_.sizes.confirm_request);
+      const Bytes pull_bytes = full_ad_bytes(*payload, ctx_.sizes);
+      ASAP_AUDIT_HOOK(ctx_.auditor,
+                      on_send(sim::Traffic::kFullAd, pull_bytes));
+      ctx_.ledger.deposit(done, sim::Traffic::kFullAd, pull_bytes);
+      ingest(v, AdKind::kFull, payload, {}, 0, done);
+      ++counters_.refresh_pulls;
+    }
+    return search::VisitAction::kContinue;
+  };
+  const auto prop = disseminate(origin, start, kind == AdKind::kRefresh, scale,
+                                *payload, msg_size, cat, visit);
   ASAP_OBS_HOOK(ctx_.obs, trace_ad(when, src, ad_kind_name(kind),
                                    prop.messages, prop.bytes));
 }
@@ -439,122 +481,30 @@ void AsapProtocol::deliver_packed(NodeId src, Seconds when, double scale,
   Bytes msg_size = ctx_.sizes.packed_frame_header;
   bool beacon_only = true;
   for (const FrameEntry& e : entries) {
-    msg_size += ctx_.sizes.packed_entry_overhead;
-    switch (e.kind) {
-      case AdKind::kFull:
-        msg_size += full_ad_bytes(*e.payload, ctx_.sizes);
-        ++counters_.full_ads;
-        beacon_only = false;
-        break;
-      case AdKind::kPatch:
-        msg_size += patch_ad_bytes(e.toggles.size(), e.payload->topics.size(),
-                                   ctx_.sizes);
-        ++counters_.patch_ads;
-        beacon_only = false;
-        break;
-      case AdKind::kRefresh:
-        msg_size += refresh_ad_bytes(ctx_.sizes);
-        ++counters_.refresh_ads;
-        break;
-      case AdKind::kDelta:
-        msg_size += delta_ad_bytes(e.toggles.size(), e.payload->topics.size(),
-                                   ctx_.sizes);
-        ++counters_.delta_ads;
-        beacon_only = false;
-        break;
-    }
+    msg_size +=
+        ctx_.sizes.packed_entry_overhead +
+        ad_wire_bytes(e.kind, *e.payload, e.toggles.size(), ctx_.sizes);
+    count_shipped(e.kind);
+    beacon_only = beacon_only && e.kind == AdKind::kRefresh;
   }
   ++counters_.packed_frames;
   counters_.packed_entries += entries.size();
 
-  const sim::Traffic cat = sim::Traffic::kPackedAd;
   auto visit = [&](NodeId v, Seconds t, std::uint32_t) {
     if (v == src) return search::VisitAction::kContinue;
-    AdCache& cache = caches_[v];
     for (const FrameEntry& e : entries) {
       // Selective caching per entry, same gate as deliver_ad (§III-B).
-      if (!interested(v, *e.payload)) continue;
-      switch (e.kind) {
-        case AdKind::kFull: {
-          const auto r = cache.put(e.payload, t, ctx_.rng);
-          if (r.stored) ASAP_OBS_HOOK(ctx_.obs, on_ad_stored(v));
-          if (r.evicted) ASAP_OBS_HOOK(ctx_.obs, on_ad_evicted(v));
-          if (r.readmitted) note_readmit(v, src, t);
-          if (r.implausible) note_implausible(v, src, t);
-          break;
-        }
-        case AdKind::kPatch: {
-          const auto outcome =
-              cache.apply_patch(src, e.base_version, e.payload, t);
-          if (outcome == UpdateOutcome::kApplied) {
-            ASAP_OBS_HOOK(ctx_.obs, on_ad_stored(v));
-          } else if (outcome == UpdateOutcome::kInvalidated) {
-            ASAP_OBS_HOOK(ctx_.obs, on_ad_invalidated(v));
-          }
-          break;
-        }
-        case AdKind::kDelta: {
-          const auto outcome =
-              cache.apply_delta(src, e.base_version, e.toggles, e.payload, t);
-          if (outcome == UpdateOutcome::kApplied) {
-            ASAP_OBS_HOOK(ctx_.obs, on_ad_stored(v));
-          } else if (outcome == UpdateOutcome::kInvalidated) {
-            ASAP_OBS_HOOK(ctx_.obs, on_ad_invalidated(v));
-          }
-          break;
-        }
-        case AdKind::kRefresh: {
-          // refresh_pull is a vanilla-mode ablation; packed frames only
-          // touch / invalidate, like the default configuration.
-          const auto outcome = cache.on_refresh(src, e.payload->version, t);
-          if (outcome == UpdateOutcome::kInvalidated) {
-            ASAP_OBS_HOOK(ctx_.obs, on_ad_invalidated(v));
-          }
-          break;
-        }
+      // refresh_pull is a vanilla-mode ablation; packed refreshes only
+      // touch / invalidate, like the default configuration.
+      if (interested(v, *e.payload)) {
+        ingest(v, e.kind, e.payload, e.toggles, e.base_version, t);
       }
     }
-    ASAP_AUDIT_HOOK(ctx_.auditor,
-                    on_cache_occupancy(cache.size(), params_.cache_capacity));
     return search::VisitAction::kContinue;
   };
-
-  search::PropagationStats prop;
-  const AdPayload& lead = *entries.front().payload;
-  const auto& topics = lead.topics;
-  switch (params_.scheme) {
-    case search::Scheme::kFlooding: {
-      const auto ttl =
-          beacon_only ? params_.refresh_flood_ttl : params_.flood_ttl;
-      prop = search::flood(ctx_, src, when, ttl, msg_size, cat, visit);
-      break;
-    }
-    case search::Scheme::kRandomWalk: {
-      const auto budget = delivery_budget(topics.size(), scale);
-      const auto walkers = std::max<std::uint64_t>(
-          params_.walkers,
-          (budget + params_.max_walk_hops - 1) / params_.max_walk_hops);
-      const auto per_walker = std::max<std::uint64_t>(1, budget / walkers);
-      if (params_.interest_bias > 1.0) {
-        auto weight = [&](NodeId v) {
-          return interested(v, lead) ? params_.interest_bias : 1.0;
-        };
-        prop = search::biased_walk(ctx_, src, when,
-                                   static_cast<std::uint32_t>(walkers),
-                                   per_walker, msg_size, cat, weight, visit);
-      } else {
-        prop = search::random_walk(ctx_, src, when,
-                                   static_cast<std::uint32_t>(walkers),
-                                   per_walker, msg_size, cat, visit);
-      }
-      break;
-    }
-    case search::Scheme::kGsa: {
-      const auto budget = delivery_budget(topics.size(), scale);
-      prop = search::gsa(ctx_, src, when, budget, msg_size, cat, visit);
-      break;
-    }
-  }
+  const auto prop =
+      disseminate(src, when, beacon_only, scale, *entries.front().payload,
+                  msg_size, sim::Traffic::kPackedAd, visit);
   ASAP_OBS_HOOK(ctx_.obs,
                 trace_ad(when, src, "packed", prop.messages, prop.bytes));
   ASAP_OBS_HOOK(ctx_.obs,
@@ -585,6 +535,7 @@ void AsapProtocol::on_trace_event(const trace::TraceEvent& ev) {
 
 void AsapProtocol::on_rejoin(const trace::TraceEvent& ev) {
   const NodeId n = ev.node;
+  if (hier_) hier_->on_rejoin(n);
   auto& adv = advertisers_[n];
   // The node kept its content across the offline period; its remote
   // cachers may hold stale versions, so it re-announces with a fresh full
@@ -608,13 +559,13 @@ void AsapProtocol::on_rejoin(const trace::TraceEvent& ev) {
       schedule_refresh(n);
     }
   }
-  std::vector<AdPayloadPtr> unused;
-  ads_request_phase(n, ev.time, ctx_.hash_query({}), nullptr, {}, unused);
+  warm_cache(n, ev.time);
 }
 
 void AsapProtocol::on_join(const trace::TraceEvent& ev) {
   const NodeId n = ev.node;
   ASAP_CHECK(n < advertisers_.size());
+  if (hier_) hier_->on_join(n);
   auto& adv = advertisers_[n];
   for (DocId d : ctx_.live.docs(n)) adv.add_document(ctx_.model.doc(d));
   if (adv.has_content()) {
@@ -623,10 +574,18 @@ void AsapProtocol::on_join(const trace::TraceEvent& ev) {
                {}, 0);
     schedule_refresh(n);
   }
-  // Warm the joiner's cache with topical ads from its new neighbors — the
-  // same ads-request flow a failed search uses (paper §III-C).
+  warm_cache(n, ev.time);
+}
+
+void AsapProtocol::warm_cache(NodeId n, Seconds t) {
+  // Warm n's cache with topical ads from its neighbors — the same
+  // ads-request flow a failed search uses (paper §III-C). In the superpeer
+  // placement leaves own no cache, and a superpeer asks for no topics, so
+  // the request would fetch nothing.
+  if (hier_) return;
   std::vector<AdPayloadPtr> unused;
-  ads_request_phase(n, ev.time, ctx_.hash_query({}), nullptr, {}, unused);
+  ads_request_phase(n, ctx_.model.interests(n), t, ctx_.hash_query({}),
+                    nullptr, {}, unused);
 }
 
 void AsapProtocol::on_content_change(const trace::TraceEvent& ev) {
@@ -657,20 +616,18 @@ void AsapProtocol::on_content_change(const trace::TraceEvent& ev) {
     // the round ships one budget-packed frame instead of one walk per
     // change event.
     auto& sched = scheds_[n];
-    const auto pending = params_.ad_mode == AdMode::kDelta
-                             ? adv.pending_delta()
-                             : adv.pending_patch();
+    const AdKind kind =
+        params_.ad_mode == AdMode::kDelta ? AdKind::kDelta : AdKind::kPatch;
+    const auto pending = kind == AdKind::kDelta ? adv.pending_delta()
+                                                : adv.pending_patch();
     if (pending.empty()) {
       sched.erase(kChangeItem);  // the changes cancelled out
       return;
     }
-    const Bytes est =
-        params_.ad_mode == AdMode::kDelta
-            ? delta_ad_bytes(pending.size(), adv.payload()->topics.size(),
-                             ctx_.sizes)
-            : patch_ad_bytes(pending.size(), adv.payload()->topics.size(),
-                             ctx_.sizes);
-    sched.upsert(kChangeItem, est, /*urgent=*/true);
+    sched.upsert(kChangeItem,
+                 ad_wire_bytes(kind, *adv.payload(), pending.size(),
+                               ctx_.sizes),
+                 /*urgent=*/true);
     schedule_refresh(n);  // no-op if the round timer is already pending
     return;
   }
@@ -690,12 +647,15 @@ void AsapProtocol::on_content_change(const trace::TraceEvent& ev) {
   }
 }
 
-Seconds AsapProtocol::confirm_round(NodeId p, Seconds start,
+Seconds AsapProtocol::confirm_round(NodeId requester, NodeId owner,
+                                    Seconds start,
                                     std::span<const KeywordId> terms,
                                     std::span<const AdPayloadPtr> candidates,
                                     metrics::SearchRecord& rec,
                                     Seconds& resolve,
                                     std::vector<NodeId>& dead_sources) {
+  const NodeId p = requester;
+  AdCache& cache = caches_[owner];
   Seconds best = kInfTime;
   std::uint32_t sent = 0;
   const std::uint32_t max_attempts =
@@ -759,7 +719,7 @@ Seconds AsapProtocol::confirm_round(NodeId p, Seconds start,
         if (!ctx_.direct_lost(s, p, t_reply)) {
           replied = true;
           resolve = std::max(resolve, t_reply);
-          caches_[p].reset_timeouts(s);
+          cache.reset_timeouts(s);
           bool matches = ctx_.live.node_matches(s, terms, ctx_.model);
           if (matches && never_serves) {
             // Stale-advertiser: replies, but always refuses to serve.
@@ -768,25 +728,25 @@ Seconds AsapProtocol::confirm_round(NodeId p, Seconds start,
           }
           if (matches) {
             best = std::min(best, t_reply);
-            caches_[p].touch(s, t_reply);
+            cache.touch(s, t_reply);
             ++rec.results;
-            caches_[p].record_reward(s);
+            cache.record_reward(s);
             ASAP_OBS_HOOK(ctx_.obs, on_confirm_positive(p));
             ASAP_OBS_HOOK(ctx_.obs, trace_confirm(t_reply, p, s, "positive"));
           } else {
             ASAP_OBS_HOOK(ctx_.obs, trace_confirm(t_reply, p, s, "negative"));
-            if (caches_[p].trust_enabled()) {
+            if (cache.trust_enabled()) {
               // With trust on, a negative confirm is a false-positive
               // strike: the ad claimed content the source will not serve.
               ++counters_.trust_strikes;
-              ASAP_OBS_HOOK(ctx_.obs, on_trust_strike(p));
-              ASAP_OBS_HOOK(ctx_.obs, trace_trust_strike(t_reply, p, s,
+              ASAP_OBS_HOOK(ctx_.obs, on_trust_strike(owner));
+              ASAP_OBS_HOOK(ctx_.obs, trace_trust_strike(t_reply, owner, s,
                                                          "false-positive"));
-              if (caches_[p].record_strike(s, t_reply)) {
+              if (cache.record_strike(s, t_reply)) {
                 ++counters_.quarantines;
-                ASAP_OBS_HOOK(ctx_.obs, on_quarantine_enter(p));
+                ASAP_OBS_HOOK(ctx_.obs, on_quarantine_enter(owner));
                 ASAP_OBS_HOOK(ctx_.obs,
-                              trace_quarantine(t_reply, p, s, "enter"));
+                              trace_quarantine(t_reply, owner, s, "enter"));
               }
             }
           }
@@ -818,20 +778,20 @@ Seconds AsapProtocol::confirm_round(NodeId p, Seconds start,
       // collapses overlapping chains to one strike when the guard is on.
       const std::uint32_t needed =
           std::max<std::uint32_t>(1, params_.stale_timeout_strikes);
-      const std::uint32_t strikes =
-          caches_[p].record_timeout(s, start, t_deadline);
+      const std::uint32_t strikes = cache.record_timeout(s, start, t_deadline);
       bool quarantined = false;
-      if (caches_[p].trust_enabled()) {
+      if (cache.trust_enabled()) {
         // A timed-out chain also damages trust, so persistent silence
         // (stale advertisers, droppers) eventually quarantines the source.
         ++counters_.trust_strikes;
-        ASAP_OBS_HOOK(ctx_.obs, on_trust_strike(p));
-        ASAP_OBS_HOOK(ctx_.obs, trace_trust_strike(t_deadline, p, s,
+        ASAP_OBS_HOOK(ctx_.obs, on_trust_strike(owner));
+        ASAP_OBS_HOOK(ctx_.obs, trace_trust_strike(t_deadline, owner, s,
                                                    "timeout"));
-        if (caches_[p].record_strike(s, t_deadline)) {
+        if (cache.record_strike(s, t_deadline)) {
           ++counters_.quarantines;
-          ASAP_OBS_HOOK(ctx_.obs, on_quarantine_enter(p));
-          ASAP_OBS_HOOK(ctx_.obs, trace_quarantine(t_deadline, p, s, "enter"));
+          ASAP_OBS_HOOK(ctx_.obs, on_quarantine_enter(owner));
+          ASAP_OBS_HOOK(ctx_.obs,
+                        trace_quarantine(t_deadline, owner, s, "enter"));
           quarantined = true;
         }
       }
@@ -839,10 +799,10 @@ Seconds AsapProtocol::confirm_round(NodeId p, Seconds start,
       // evicted source's ads are dropped for a while, so an in-flight
       // delivery cannot re-admit the just-evicted stale ad immediately.
       if (!quarantined && strikes >= needed &&
-          caches_[p].erase_stale(s, t_deadline)) {
+          cache.erase_stale(s, t_deadline)) {
         ++counters_.stale_evictions;
-        ASAP_OBS_HOOK(ctx_.obs, on_stale_evicted(p));
-        ASAP_OBS_HOOK(ctx_.obs, trace_stale_evict(t_deadline, p, s));
+        ASAP_OBS_HOOK(ctx_.obs, on_stale_evicted(owner));
+        ASAP_OBS_HOOK(ctx_.obs, trace_stale_evict(t_deadline, owner, s));
         repair_pending_since_ = std::min(repair_pending_since_, t_deadline);
       }
       dead_sources.push_back(s);
@@ -852,15 +812,15 @@ Seconds AsapProtocol::confirm_round(NodeId p, Seconds start,
 }
 
 Seconds AsapProtocol::ads_request_phase(
-    NodeId p, Seconds start, const bloom::HashedQuery& query,
-    metrics::SearchRecord* rec, std::span<const NodeId> skip_sources,
+    NodeId owner, const std::vector<TopicId>& interests, Seconds start,
+    const bloom::HashedQuery& query, metrics::SearchRecord* rec,
+    std::span<const NodeId> skip_sources,
     std::vector<AdPayloadPtr>& matches_out) {
   matches_out.clear();
   last_request_stored_ = 0;
   if (params_.ads_request_hops == 0) return start;
   ++counters_.ads_requests;
   Seconds done = start;
-  const auto& interests = ctx_.model.interests(p);
 
   const std::uint32_t total_cap =
       query.empty() ? params_.join_reply_max : params_.ads_reply_max;
@@ -874,7 +834,7 @@ Seconds AsapProtocol::ads_request_phase(
       reply_bytes +=
           ctx_.sizes.ads_reply_entry_overhead + full_ad_bytes(*ad, ctx_.sizes);
     }
-    const Seconds t_back = t + ctx_.latency(v, p);
+    const Seconds t_back = t + ctx_.latency(v, owner);
     ASAP_AUDIT_HOOK(ctx_.auditor,
                     on_send(sim::Traffic::kAdsRequest, reply_bytes));
     ctx_.ledger.deposit(t_back, sim::Traffic::kAdsRequest, reply_bytes);
@@ -884,22 +844,14 @@ Seconds AsapProtocol::ads_request_phase(
     }
     done = std::max(done, t_back);
     for (auto& ad : reply_scratch_) {
-      if (ad->source == p) continue;
+      if (ad->source == owner) continue;
       if (std::find(skip_sources.begin(), skip_sources.end(), ad->source) !=
           skip_sources.end()) {
         continue;  // the requester just saw this source dead
       }
-      const auto r = caches_[p].put(ad, t_back, ctx_.rng);
-      if (r.stored) {
+      if (ingest(owner, AdKind::kFull, ad, {}, 0, t_back)) {
         ++last_request_stored_;
-        ASAP_OBS_HOOK(ctx_.obs, on_ad_stored(p));
       }
-      if (r.evicted) ASAP_OBS_HOOK(ctx_.obs, on_ad_evicted(p));
-      if (r.readmitted) note_readmit(p, ad->source, t_back);
-      if (r.implausible) note_implausible(p, ad->source, t_back);
-      ASAP_AUDIT_HOOK(ctx_.auditor,
-                      on_cache_occupancy(caches_[p].size(),
-                                         params_.cache_capacity));
       if (!query.empty() && query.matches(ad->filter)) {
         matches_out.push_back(ad);
       }
@@ -907,8 +859,10 @@ Seconds AsapProtocol::ads_request_phase(
     return search::VisitAction::kContinue;
   };
 
+  std::optional<search::GraphScope> mesh;
+  if (hier_) mesh.emplace(ctx_, hier_->mesh());
   const auto prop =
-      search::flood(ctx_, p, start, params_.ads_request_hops,
+      search::flood(ctx_, owner, start, params_.ads_request_hops,
                     ctx_.sizes.ads_request, sim::Traffic::kAdsRequest, visit);
   if (rec != nullptr) {
     rec->cost_bytes += prop.bytes;
@@ -930,6 +884,20 @@ Seconds AsapProtocol::ads_request_phase(
   return done;
 }
 
+void AsapProtocol::rank_by_trust(NodeId owner,
+                                 std::vector<AdPayloadPtr>& ads) const {
+  const AdCache& cache = caches_[owner];
+  if (!cache.trust_enabled() || ads.size() < 2) return;
+  // Confirm the most trustworthy sources first, so the max_confirms budget
+  // is not burned on known polluters. stable_sort keeps the deterministic
+  // cache-scan order for equal trust.
+  std::stable_sort(ads.begin(), ads.end(),
+                   [&](const AdPayloadPtr& a, const AdPayloadPtr& b) {
+                     return cache.trust_of(a->source) >
+                            cache.trust_of(b->source);
+                   });
+}
+
 void AsapProtocol::run_query(const trace::TraceEvent& ev) {
   const NodeId p = ev.node;
   const Seconds t0 = ev.time;
@@ -942,13 +910,46 @@ void AsapProtocol::run_query(const trace::TraceEvent& ev) {
   rec.issued_at = t0;
   repair_pending_since_ = kInfTime;
 
-  // Overload protection: bounded per-origin pending-query queue with
+  // The lookup runs at the peer that owns the cache serving p: p itself, or
+  // in the superpeer placement its proxy, reached over one query hop. The
+  // candidates travel back to p, which confirms them itself.
+  const NodeId owner = hier_ ? hier_->live_proxy(p) : p;
+  if (owner == kInvalidNode) {
+    // No live superpeer: the search fails outright.
+    ASAP_OBS_HOOK(ctx_.obs, trace_query(t0, p, false, false, 0.0,
+                                        rec.cost_bytes, rec.messages, 0));
+    if (!synthetic_query()) stats_.add(rec);
+    return;
+  }
+  Seconds at_owner = t0;
+  if (owner != p) {
+    at_owner = t0 + ctx_.latency(p, owner);
+    ASAP_AUDIT_HOOK(ctx_.auditor,
+                    on_send(sim::Traffic::kConfirm, ctx_.sizes.query));
+    ctx_.ledger.deposit(at_owner, sim::Traffic::kConfirm, ctx_.sizes.query);
+    rec.cost_bytes += ctx_.sizes.query;
+    ++rec.messages;
+    ++counters_.proxy_queries;
+  }
+  const auto respond = [&](Seconds t) {
+    if (owner == p) return t;
+    const Seconds at = t + ctx_.latency(owner, p);
+    ASAP_AUDIT_HOOK(ctx_.auditor,
+                    on_send(sim::Traffic::kConfirm, ctx_.sizes.response));
+    ctx_.ledger.deposit(at, sim::Traffic::kConfirm, ctx_.sizes.response);
+    rec.cost_bytes += ctx_.sizes.response;
+    ++rec.messages;
+    return at;
+  };
+
+  // Overload protection: bounded per-owner pending-query queue with
   // deterministic shedding, plus graceful degradation (TTL clamp-down)
   // under pressure. pending_ is empty unless a cap/clamp is configured.
   bool clamp_ttl = false;
   if (!pending_.empty()) {
-    auto& inflight = pending_[p];
-    std::erase_if(inflight, [t0](Seconds end) { return end <= t0; });
+    auto& inflight = pending_[owner];
+    std::erase_if(inflight,
+                  [at_owner](Seconds end) { return end <= at_owner; });
     const auto depth = static_cast<std::uint32_t>(inflight.size());
     if (params_.pending_query_cap > 0 &&
         depth >= params_.pending_query_cap) {
@@ -956,8 +957,8 @@ void AsapProtocol::run_query(const trace::TraceEvent& ev) {
       // legitimate query counts as a failed search; synthetic storm
       // queries are shed silently.
       ++counters_.queries_shed;
-      ASAP_OBS_HOOK(ctx_.obs, on_query_shed(p));
-      ASAP_OBS_HOOK(ctx_.obs, trace_shed(t0, p, depth));
+      ASAP_OBS_HOOK(ctx_.obs, on_query_shed(owner));
+      ASAP_OBS_HOOK(ctx_.obs, trace_shed(at_owner, owner, depth));
       if (!synthetic_query()) stats_.add(rec);
       return;
     }
@@ -971,26 +972,18 @@ void AsapProtocol::run_query(const trace::TraceEvent& ev) {
   }
 
   // Hash the query terms exactly once; every cache scan below — at the
-  // querying node and at every node its ads request visits — reuses the
+  // owner and at every node its ads request visits — reuses the
   // precomputed probe positions.
   const bloom::HashedQuery& query = ctx_.hash_query(terms);
 
   // Phase 1: local ads-cache lookup + confirmations (paper Table I).
-  caches_[p].collect_matches(query, scratch_ads_);
-  if (caches_[p].trust_enabled() && scratch_ads_.size() > 1) {
-    // Trust-weighted ranking: confirm the most trustworthy sources first,
-    // so max_confirms budget is not burned on known polluters. stable_sort
-    // keeps the deterministic cache-scan order for equal trust.
-    std::stable_sort(scratch_ads_.begin(), scratch_ads_.end(),
-                     [&](const AdPayloadPtr& a, const AdPayloadPtr& b) {
-                       return caches_[p].trust_of(a->source) >
-                              caches_[p].trust_of(b->source);
-                     });
-  }
-  Seconds resolve = t0;
+  caches_[owner].collect_matches(query, scratch_ads_);
+  rank_by_trust(owner, scratch_ads_);
+  const Seconds start1 = respond(at_owner);
+  Seconds resolve = start1;
   std::vector<NodeId> dead;
   Seconds best =
-      confirm_round(p, t0, terms, scratch_ads_, rec, resolve, dead);
+      confirm_round(p, owner, start1, terms, scratch_ads_, rec, resolve, dead);
   const bool local_success = best < kInfTime;
   Seconds done = resolve;
 
@@ -1000,9 +993,13 @@ void AsapProtocol::run_query(const trace::TraceEvent& ev) {
   // this widening entirely (graceful degradation).
   if ((!local_success || rec.results < params_.results_needed) &&
       !clamp_ttl) {
+    // A proxy caches for leaves of every interest, so it asks for term
+    // matches only, not for topical ads of one leaf's interests.
+    static const std::vector<TopicId> kNoTopics;
     std::vector<AdPayloadPtr> fresh;
-    const Seconds phase_done =
-        ads_request_phase(p, resolve, query, &rec, dead, fresh);
+    const Seconds phase_done = ads_request_phase(
+        owner, hier_ ? kNoTopics : ctx_.model.interests(p), resolve, query,
+        &rec, dead, fresh);
     done = std::max(done, phase_done);
     if (repair_pending_since_ < kInfTime && last_request_stored_ > 0) {
       // The refetch restored cache entries after a stale eviction earlier
@@ -1020,24 +1017,19 @@ void AsapProtocol::run_query(const trace::TraceEvent& ev) {
       return false;
     });
     if (!fresh.empty()) {
-      if (caches_[p].trust_enabled() && fresh.size() > 1) {
-        // Same trust-weighted ranking as phase 1: the ads-request merge
-        // just put these entries into our cache, so sources the fill gate
-        // demoted (or confirms struck) sort behind trusted ones.
-        std::stable_sort(fresh.begin(), fresh.end(),
-                         [&](const AdPayloadPtr& a, const AdPayloadPtr& b) {
-                           return caches_[p].trust_of(a->source) >
-                                  caches_[p].trust_of(b->source);
-                         });
-      }
-      Seconds resolve2 = phase_done;
-      best = std::min(best, confirm_round(p, phase_done, terms, fresh, rec,
+      // The merge just put these entries into the owner's cache, so
+      // sources the fill gate demoted (or confirms struck) sort behind
+      // trusted ones.
+      rank_by_trust(owner, fresh);
+      const Seconds start2 = respond(phase_done);
+      Seconds resolve2 = start2;
+      best = std::min(best, confirm_round(p, owner, start2, terms, fresh, rec,
                                           resolve2, dead));
       done = std::max(done, resolve2);
     }
   }
 
-  if (!pending_.empty()) pending_[p].push_back(done);
+  if (!pending_.empty()) pending_[owner].push_back(done);
 
   rec.success = best < kInfTime;
   rec.local_hit = local_success;

@@ -9,9 +9,16 @@
 // confirms), the node requests topical ads from neighbors within h hops,
 // merges the replies, and retries once — the same warm-up path a freshly
 // joined node uses (paper Table I).
+//
+// Placement: flat by default (every interested peer caches). With
+// AsapParams::superpeer_fraction > 0 the same protocol runs in the
+// superpeer placement of the paper's footnote 3 (asap/hierarchy.hpp): only
+// superpeers cache, ads spread over the superpeer mesh, and a leaf's ads
+// and searches go through its proxy superpeer.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,9 +27,14 @@
 #include "asap/ad_cache.hpp"
 #include "asap/ad_scheduler.hpp"
 #include "asap/advertiser.hpp"
+#include "asap/hierarchy.hpp"
 #include "search/algorithm.hpp"
 #include "search/baseline.hpp"
 #include "search/context.hpp"
+
+namespace asap::search {
+struct PropagationStats;
+}
 
 namespace asap::ads {
 
@@ -141,8 +153,17 @@ struct AsapParams {
   /// ads-requests are suppressed (TTL clamp-down). 0 = never clamp.
   std::uint32_t ttl_clamp_depth = 0;
 
+  /// Fraction of the initial peers promoted to superpeers, by degree, in
+  /// [0, 1]. 0 = the flat placement; any other value runs the superpeer
+  /// placement (vanilla ad scheduling only).
+  double superpeer_fraction = 0.0;
+
   static AsapParams small(search::Scheme s);
   static AsapParams paper(search::Scheme s);
+  /// The superpeer placement at the small preset: the mesh is ~6x smaller
+  /// than the overlay, so M0 shrinks to match, and superpeers are capable
+  /// nodes with larger caches.
+  static AsapParams superpeer(search::Scheme s);
 };
 
 class AsapProtocol final : public search::SearchAlgorithm {
@@ -157,6 +178,18 @@ class AsapProtocol final : public search::SearchAlgorithm {
   // --- introspection (tests, examples) ---------------------------------
   const AdCache& cache(NodeId n) const { return caches_[n]; }
   const Advertiser& advertiser(NodeId n) const { return advertisers_[n]; }
+  /// Total cache entries across all peers (memory footprint probe).
+  std::uint64_t total_cached_ads() const;
+  // Superpeer placement (false / kInvalidNode / 0 when flat).
+  bool is_superpeer(NodeId n) const {
+    return hier_.has_value() && hier_->is_superpeer(n);
+  }
+  NodeId proxy_of(NodeId n) const {
+    return hier_.has_value() ? hier_->proxy_of(n) : kInvalidNode;
+  }
+  std::uint32_t num_superpeers() const {
+    return hier_.has_value() ? hier_->num_superpeers() : 0;
+  }
 
   struct Counters {
     std::uint64_t full_ads = 0;
@@ -193,6 +226,9 @@ class AsapProtocol final : public search::SearchAlgorithm {
     std::uint64_t queries_shed = 0;
     std::uint64_t ttl_clamped = 0;   ///< queries whose phase 2 was suppressed
     std::uint64_t peak_pending_depth = 0;
+    // Superpeer placement telemetry (zero when flat).
+    std::uint64_t proxy_uploads = 0;  ///< leaf -> proxy ad transfers
+    std::uint64_t proxy_queries = 0;  ///< leaf -> proxy search requests
   };
   const Counters& counters() const { return counters_; }
   const AsapParams& params() const { return params_; }
@@ -216,11 +252,34 @@ class AsapProtocol final : public search::SearchAlgorithm {
     return params_.pending_query_cap > 0 || params_.ttl_clamp_depth > 0;
   }
 
-  /// Disseminates an ad from `src` starting at `when`.
-  /// For patches, `patch_positions`/`base_version` describe the delta.
+  /// Applies one ad of any kind to v's cache — the one ingest path of walk
+  /// deliveries, packed frames, ads-reply merges and refresh pulls. Patch
+  /// and delta ads carry `toggles` against `base_version`. Returns true iff
+  /// the ad was stored (full) or applied (patch, delta, refresh).
+  bool ingest(NodeId v, AdKind kind, const AdPayloadPtr& ad,
+              std::span<const std::uint32_t> toggles,
+              std::uint32_t base_version, Seconds t);
+
+  /// Counts one shipped ad of `kind` in the per-kind counters.
+  void count_shipped(AdKind kind);
+
+  /// Runs `visit` over one ad dissemination from `origin` with the
+  /// configured scheme: a flood (shallower for refresh-only messages) or
+  /// walks whose budget scales with the topics of `lead`. In the superpeer
+  /// placement it walks the superpeer mesh.
+  template <typename Visit>
+  search::PropagationStats disseminate(NodeId origin, Seconds when,
+                                       bool refresh_only, double scale,
+                                       const AdPayload& lead, Bytes msg_size,
+                                       sim::Traffic cat, Visit& visit);
+
+  /// Disseminates an ad from `src` starting at `when`; patch and delta ads
+  /// carry `toggles` against `base_version`. In the superpeer placement a
+  /// leaf first uploads the ad to its proxy, which caches it and starts
+  /// the spread.
   void deliver_ad(NodeId src, AdKind kind, Seconds when, double scale,
                   const AdPayloadPtr& payload,
-                  std::span<const std::uint32_t> patch_positions,
+                  std::span<const std::uint32_t> toggles,
                   std::uint32_t base_version);
 
   void on_join(const trace::TraceEvent& ev);
@@ -228,24 +287,37 @@ class AsapProtocol final : public search::SearchAlgorithm {
   void on_content_change(const trace::TraceEvent& ev);
   void run_query(const trace::TraceEvent& ev);
 
-  /// Confirms each candidate ad with its source. Returns the earliest
-  /// positive-reply time (infinity if none). `resolve` is advanced to the
-  /// time the whole round is known to have finished; `rec.results` counts
-  /// the positive confirmations.
-  Seconds confirm_round(NodeId p, Seconds start,
+  /// Runs the join-time warm-up ads request for n (flat placement only).
+  void warm_cache(NodeId n, Seconds t);
+
+  /// Trust-weighted ranking: with trust on, sorts `ads` most trusted
+  /// source first by `owner`'s cache, keeping scan order for equal trust.
+  void rank_by_trust(NodeId owner, std::vector<AdPayloadPtr>& ads) const;
+
+  /// Confirms each candidate ad with its source. `requester` sends the
+  /// requests and sees the replies; `owner` is the peer whose cache held
+  /// the candidates and takes the outcome (touch, rewards, strikes,
+  /// quarantine, stale eviction) — the same peer when flat. Returns the
+  /// earliest positive-reply time (infinity if none). `resolve` is
+  /// advanced to the time the whole round is known to have finished;
+  /// `rec.results` counts the positive confirmations.
+  Seconds confirm_round(NodeId requester, NodeId owner, Seconds start,
                         std::span<const KeywordId> terms,
                         std::span<const AdPayloadPtr> candidates,
                         metrics::SearchRecord& rec, Seconds& resolve,
                         std::vector<NodeId>& dead_sources);
 
-  /// Requests ads from neighbors within h hops, merges replies into p's
-  /// cache and collects term-matching payloads. The query is pre-hashed
-  /// (ctx_.hash_query) so every reply-side cache scan and merge-side match
-  /// test reuses the one-shot probe positions; an empty query is the
-  /// join-time warm-up request. Ads from `skip_sources` (sources the
-  /// requester just observed dead) are not merged. Returns completion time.
-  Seconds ads_request_phase(NodeId p, Seconds start,
-                            const bloom::HashedQuery& query,
+  /// Requests ads from `owner`'s neighbors within h hops (mesh neighbours
+  /// in the superpeer placement), merges the replies into owner's cache
+  /// and collects term-matching payloads. Replies add topical ads for
+  /// `interests`. The query is pre-hashed (ctx_.hash_query) so every
+  /// reply-side cache scan and merge-side match test reuses the one-shot
+  /// probe positions; an empty query is the join-time warm-up request.
+  /// The owner's own ad and ads from `skip_sources` (sources the requester
+  /// just observed dead) are not merged. Returns completion time.
+  Seconds ads_request_phase(NodeId owner,
+                            const std::vector<TopicId>& interests,
+                            Seconds start, const bloom::HashedQuery& query,
                             metrics::SearchRecord* rec,
                             std::span<const NodeId> skip_sources,
                             std::vector<AdPayloadPtr>& matches_out);
@@ -276,7 +348,8 @@ class AsapProtocol final : public search::SearchAlgorithm {
   static constexpr AdScheduler::ItemId kChangeItem = 1;
 
   /// True iff node `v` would cache an ad with these topics (selective
-  /// caching, §III-B).
+  /// caching, §III-B). Superpeers are interested in every ad, leaves in
+  /// none (interest_mask_).
   bool interested(NodeId v, const AdPayload& ad) const {
     return (ad.topic_mask & interest_mask_[v]) != 0;
   }
@@ -286,8 +359,11 @@ class AsapProtocol final : public search::SearchAlgorithm {
   std::vector<Advertiser> advertisers_;
   std::vector<AdCache> caches_;
   /// Per node slot: topic_mask_of(model.interests(n)). Interests are fixed
-  /// when the content model is built, so this is computed once.
+  /// when the content model is built, so this is computed once. In the
+  /// superpeer placement: all ones for superpeers, zero for leaves.
   std::vector<TopicMask> interest_mask_;
+  /// The superpeer placement; empty when flat.
+  std::optional<SuperpeerHierarchy> hier_;
   std::vector<std::uint8_t> refresh_scheduled_;
   std::vector<AdScheduler> scheds_;  // per node; empty in vanilla mode
   std::vector<AdScheduler::Emission> emissions_scratch_;
@@ -298,10 +374,10 @@ class AsapProtocol final : public search::SearchAlgorithm {
   /// Earliest stale eviction within the current query, for time-to-repair
   /// accounting; reset to +inf at each query start.
   Seconds repair_pending_since_ = 0.0;
-  /// Entries the most recent ads_request_phase stored into the requester's
+  /// Entries the most recent ads_request_phase stored into the owner's
   /// cache (repair evidence).
   std::uint64_t last_request_stored_ = 0;
-  /// Per-origin in-flight query completion times (overload protection).
+  /// Per-cache-owner in-flight query completion times (overload protection).
   /// Empty vectors unless pending_query_cap / ttl_clamp_depth is set, so
   /// legacy runs never touch it.
   std::vector<std::vector<Seconds>> pending_;

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -24,6 +25,16 @@ bool Value::as_bool() const {
 double Value::as_double() const {
   if (!is_number()) type_error("a number");
   return std::get<double>(v_);
+}
+
+std::uint32_t Value::as_u32(std::string_view key) const {
+  const double d = as_double();
+  if (!(d >= 0.0 && d <= std::numeric_limits<std::uint32_t>::max() &&
+        d == std::floor(d))) {
+    throw ConfigError("json: \"" + std::string(key) +
+                      "\" must be an integer in [0, 4294967295]");
+  }
+  return static_cast<std::uint32_t>(d);
 }
 
 const std::string& Value::as_string() const {

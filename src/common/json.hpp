@@ -54,6 +54,10 @@ class Value {
   /// Typed accessors; throw ConfigError when the type does not match.
   bool as_bool() const;
   double as_double() const;
+  /// A count: a number that is an integer in [0, 2^32 - 1] (casting any
+  /// other double to uint32 is undefined or truncates). Throws ConfigError
+  /// naming `key`, the member this value was read from, otherwise.
+  std::uint32_t as_u32(std::string_view key) const;
   const std::string& as_string() const;
   const Array& as_array() const;
   const Object& as_object() const;

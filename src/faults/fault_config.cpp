@@ -1,8 +1,6 @@
 #include "faults/fault_config.hpp"
 
-#include <cmath>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -243,18 +241,9 @@ FaultScenario scenario_from_json(const json::Value& v) {
     const json::Value* f = v.find(key);
     return f != nullptr ? f->as_double() : fallback;
   };
-  // A count must be an integer in [0, 2^32 - 1]: casting a negative,
-  // fractional or oversized double to uint32 is undefined or truncates.
   const auto count = [&](const char* key, std::uint32_t fallback) {
     const json::Value* f = v.find(key);
-    if (f == nullptr) return fallback;
-    const double d = f->as_double();
-    if (!(d >= 0.0 && d <= std::numeric_limits<std::uint32_t>::max() &&
-          d == std::floor(d))) {
-      throw ConfigError(std::string("faults: ") + key +
-                        " must be an integer in [0, 4294967295]");
-    }
-    return static_cast<std::uint32_t>(d);
+    return f != nullptr ? f->as_u32(key) : fallback;
   };
   c.crash_fraction = num("crash_fraction", c.crash_fraction);
   c.crash_detection = num("crash_detection_s", c.crash_detection);

@@ -441,8 +441,8 @@ MatrixSpec spec_from_json(const json::Value& doc) {
                  "results spec: empty fault_scenarios");
   }
   out.seed = spec.at("seed").u64_hex();
-  out.trials = static_cast<std::uint32_t>(spec.at("trials").as_double());
-  out.queries = static_cast<std::uint32_t>(spec.at("queries").as_double());
+  out.trials = spec.at("trials").as_u32("trials");
+  out.queries = spec.at("queries").as_u32("queries");
   out.options.message_loss = spec.at("message_loss").as_double();
   out.options.audit = spec.at("audit").as_bool();
   // Files written while the engine had a shard axis carry "shards"; shard
@@ -451,7 +451,7 @@ MatrixSpec spec_from_json(const json::Value& doc) {
   // own dimensions (scale = 0) with a materialized trace, exactly what
   // every pre-scale artifact ran with.
   if (const json::Value* scale = spec.find("scale")) {
-    out.scale = static_cast<std::uint32_t>(scale->as_double());
+    out.scale = scale->as_u32("scale");
   }
   if (const json::Value* stream = spec.find("stream_trace")) {
     out.stream_trace = stream->as_bool();

@@ -150,28 +150,41 @@ TEST(AsapProtocol, OfflineSourceConfirmationFailsOverToNeighbors) {
 }
 
 TEST(AsapProtocol, DeadEntriesArePrunedAfterFailedConfirmation) {
-  TestWorld w;
-  AsapProtocol algo(w.ctx, test_params(search::Scheme::kFlooding));
-  warm(w, algo);
-  const NodeId holder = w.a_sharer();
-  w.live.set_online(holder, false);
-  // Find a requester that cached the holder's ad.
-  NodeId requester = kInvalidNode;
-  for (NodeId n = 0; n < TestWorld::kNodes; ++n) {
-    if (n != holder && algo.cache(n).find(holder)) {
-      requester = n;
-      break;
+  // Both placements: the lookup's cache is the requester's own when flat,
+  // its proxy's in the superpeer placement.
+  for (const bool superpeer : {false, true}) {
+    TestWorld w;
+    AsapParams params = superpeer
+                            ? AsapParams::superpeer(search::Scheme::kFlooding)
+                            : test_params(search::Scheme::kFlooding);
+    params.refresh_period = 30.0;
+    AsapProtocol algo(w.ctx, params);
+    warm(w, algo);
+    const auto owner = [&](NodeId n) {
+      return superpeer ? algo.proxy_of(n) : n;
+    };
+    const NodeId holder = w.a_sharer();
+    w.live.set_online(holder, false);
+    // Find a requester whose lookup cache holds the holder's ad; with
+    // superpeers, a leaf, so the cache that must drop it is its proxy's.
+    NodeId requester = kInvalidNode;
+    for (NodeId n = 0; n < TestWorld::kNodes; ++n) {
+      if (n != holder && owner(n) != holder && !algo.is_superpeer(n) &&
+          algo.cache(owner(n)).find(holder)) {
+        requester = n;
+        break;
+      }
     }
+    ASSERT_NE(requester, kInvalidNode) << algo.name();
+    trace::TraceEvent ev = query_event(w, requester, holder, 130.0);
+    const auto& kws = w.model.doc(ev.doc).keywords;
+    ev.num_terms = 1;
+    ev.terms[0] = kws.back();
+    algo.on_trace_event(ev);
+    EXPECT_FALSE(algo.cache(owner(requester)).find(holder))
+        << algo.name() << ": entry for a dead source must be dropped";
+    w.live.set_online(holder, true);
   }
-  ASSERT_NE(requester, kInvalidNode);
-  trace::TraceEvent ev = query_event(w, requester, holder, 130.0);
-  const auto& kws = w.model.doc(ev.doc).keywords;
-  ev.num_terms = 1;
-  ev.terms[0] = kws.back();
-  algo.on_trace_event(ev);
-  EXPECT_FALSE(algo.cache(requester).find(holder))
-      << "entry for a dead source must be dropped";
-  w.live.set_online(holder, true);
 }
 
 TEST(AsapProtocol, ContentChangeEmitsPatchAd) {

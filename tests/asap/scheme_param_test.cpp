@@ -134,11 +134,11 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, AsapSchemeTest,
                          ::testing::Values(search::Scheme::kFlooding,
                                            search::Scheme::kRandomWalk,
                                            search::Scheme::kGsa),
-                         [](const auto& info) {
-                           return std::string(
-                               search::scheme_name(info.param)) == "flooding"
+                         [](const auto& param_info) {
+                           return std::string(search::scheme_name(
+                                      param_info.param)) == "flooding"
                                       ? "FLD"
-                                      : search::scheme_name(info.param) ==
+                                      : search::scheme_name(param_info.param) ==
                                                 std::string("random-walk")
                                             ? "RW"
                                             : "GSA";

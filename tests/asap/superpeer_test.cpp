@@ -1,5 +1,4 @@
-#include "asap/superpeer.hpp"
-
+// The superpeer placement of AsapProtocol (asap/hierarchy.hpp).
 #include "asap/asap_protocol.hpp"
 
 #include <gtest/gtest.h>
@@ -16,15 +15,14 @@ namespace {
 
 using asap::testing::TestWorld;
 
-SuperpeerParams test_params(search::Scheme s = search::Scheme::kRandomWalk) {
-  SuperpeerParams p;
-  p.scheme = s;
+AsapParams test_params(search::Scheme s = search::Scheme::kRandomWalk) {
+  AsapParams p = AsapParams::superpeer(s);
   p.budget_unit_m0 = 200;  // the 45-superpeer test mesh is tiny
   p.refresh_period = 30.0;
   return p;
 }
 
-void warm(TestWorld& w, SuperpeerAsap& algo, Seconds warmup = 120.0) {
+void warm(TestWorld& w, AsapProtocol& algo, Seconds warmup = 120.0) {
   algo.warm_up(warmup);
   w.engine.run_until(warmup);
 }
@@ -45,20 +43,22 @@ trace::TraceEvent query_event(const TestWorld& w, NodeId requester,
 
 TEST(SuperpeerAsap, HierarchyCoversEveryNode) {
   TestWorld w;
-  SuperpeerAsap algo(w.ctx, test_params());
+  AsapProtocol algo(w.ctx, test_params());
   EXPECT_NEAR(algo.num_superpeers(), 0.15 * TestWorld::kNodes,
               0.02 * TestWorld::kNodes);
   for (NodeId n = 0; n < TestWorld::kNodes; ++n) {
     const NodeId proxy = algo.proxy_of(n);
     ASSERT_NE(proxy, kInvalidNode) << "node " << n << " has no proxy";
     EXPECT_TRUE(algo.is_superpeer(proxy));
-    if (algo.is_superpeer(n)) EXPECT_EQ(proxy, n);
+    if (algo.is_superpeer(n)) {
+      EXPECT_EQ(proxy, n);
+    }
   }
 }
 
 TEST(SuperpeerAsap, SuperpeersAreHighDegreeNodes) {
   TestWorld w;
-  SuperpeerAsap algo(w.ctx, test_params());
+  AsapProtocol algo(w.ctx, test_params());
   // Every superpeer's degree must be >= every leaf's degree minus ties.
   std::uint32_t min_sp = UINT32_MAX, max_leaf = 0;
   for (NodeId n = 0; n < TestWorld::kNodes; ++n) {
@@ -73,7 +73,7 @@ TEST(SuperpeerAsap, SuperpeersAreHighDegreeNodes) {
 
 TEST(SuperpeerAsap, OnlySuperpeersCacheAds) {
   TestWorld w;
-  SuperpeerAsap algo(w.ctx, test_params(search::Scheme::kFlooding));
+  AsapProtocol algo(w.ctx, test_params(search::Scheme::kFlooding));
   warm(w, algo);
   EXPECT_GT(algo.counters().full_ads, 0u);
   EXPECT_GT(algo.counters().proxy_uploads, 0u);
@@ -87,7 +87,7 @@ TEST(SuperpeerAsap, OnlySuperpeersCacheAds) {
 
 TEST(SuperpeerAsap, LeafSearchSucceedsThroughProxy) {
   TestWorld w;
-  SuperpeerAsap algo(w.ctx, test_params(search::Scheme::kFlooding));
+  AsapProtocol algo(w.ctx, test_params(search::Scheme::kFlooding));
   warm(w, algo);
   const NodeId holder = w.a_sharer();
   // Pick a leaf requester.
@@ -122,7 +122,7 @@ TEST(SuperpeerAsap, MemoryConcentratesOnSuperpeers) {
     flat_total += flat_algo.cache(n).size();
   }
 
-  SuperpeerAsap sp_algo(w2.ctx, test_params(search::Scheme::kFlooding));
+  AsapProtocol sp_algo(w2.ctx, test_params(search::Scheme::kFlooding));
   warm(w2, sp_algo);
   EXPECT_LT(sp_algo.total_cached_ads(), flat_total);
   EXPECT_GT(sp_algo.total_cached_ads(), 0u);
@@ -134,10 +134,10 @@ TEST(SuperpeerAsap, StateBytesCoverItsCaches) {
   // contents (a capacity-0 cache draws no randomness), so the difference
   // is exactly what the proxy caches own.
   TestWorld w, bare_world;
-  SuperpeerAsap algo(w.ctx, test_params());
-  SuperpeerParams bare_params = test_params();
+  AsapProtocol algo(w.ctx, test_params());
+  AsapParams bare_params = test_params();
   bare_params.cache_capacity = 0;
-  SuperpeerAsap bare(bare_world.ctx, bare_params);
+  AsapProtocol bare(bare_world.ctx, bare_params);
   warm(w, algo);
   warm(bare_world, bare);
   ASSERT_GT(algo.total_cached_ads(), 0u);
@@ -152,7 +152,7 @@ TEST(SuperpeerAsap, StateBytesCoverItsCaches) {
 
 TEST(SuperpeerAsap, ContentChangeFlowsThroughProxy) {
   TestWorld w;
-  SuperpeerAsap algo(w.ctx, test_params());
+  AsapProtocol algo(w.ctx, test_params());
   warm(w, algo);
   const NodeId sharer = w.a_sharer();
   const auto patches_before = algo.counters().patch_ads;
@@ -172,7 +172,7 @@ TEST(SuperpeerAsap, ContentChangeFlowsThroughProxy) {
 
 TEST(SuperpeerAsap, OfflineProxyTriggersReassignment) {
   TestWorld w;
-  SuperpeerAsap algo(w.ctx, test_params(search::Scheme::kFlooding));
+  AsapProtocol algo(w.ctx, test_params(search::Scheme::kFlooding));
   warm(w, algo);
   const NodeId holder = w.a_sharer();
   NodeId leaf = kInvalidNode;
@@ -194,21 +194,27 @@ TEST(SuperpeerAsap, OfflineProxyTriggersReassignment) {
 
 TEST(SuperpeerAsap, NamesFollowScheme) {
   TestWorld w;
-  EXPECT_EQ(SuperpeerAsap(w.ctx, test_params(search::Scheme::kFlooding)).name(),
+  EXPECT_EQ(AsapProtocol(w.ctx, test_params(search::Scheme::kFlooding)).name(),
             "sp-asap(fld)");
   EXPECT_EQ(
-      SuperpeerAsap(w.ctx, test_params(search::Scheme::kRandomWalk)).name(),
+      AsapProtocol(w.ctx, test_params(search::Scheme::kRandomWalk)).name(),
       "sp-asap(rw)");
 }
 
 TEST(SuperpeerAsap, RejectsBadParams) {
   TestWorld w;
+  // 0 is the flat placement; only values outside [0, 1] are rejected.
+  for (const double fraction : {-0.1, 1.5}) {
+    auto p = test_params();
+    p.superpeer_fraction = fraction;
+    EXPECT_THROW(AsapProtocol(w.ctx, p), ConfigError) << fraction;
+  }
   auto p = test_params();
-  p.superpeer_fraction = 0.0;
-  EXPECT_THROW(SuperpeerAsap(w.ctx, p), ConfigError);
+  p.ad_mode = AdMode::kAdaptive;
+  EXPECT_THROW(AsapProtocol(w.ctx, p), ConfigError);
   p = test_params();
   p.budget_unit_m0 = 0;
-  EXPECT_THROW(SuperpeerAsap(w.ctx, p), ConfigError);
+  EXPECT_THROW(AsapProtocol(w.ctx, p), ConfigError);
 }
 
 TEST(SuperpeerAsap, PollutedPayloadsCarryTheirDerivedKeys) {
@@ -221,7 +227,7 @@ TEST(SuperpeerAsap, PollutedPayloadsCarryTheirDerivedKeys) {
       600.0, w.phys.params().total_stub_domains());
   faults::FaultInjector injector(plan, w.phys, 7);
   w.ctx.faults = &injector;
-  SuperpeerAsap algo(w.ctx, test_params());
+  AsapProtocol algo(w.ctx, test_params());
   warm(w, algo);
   ASSERT_GT(algo.counters().polluted_ads, 0u);
   std::uint64_t checked = 0;

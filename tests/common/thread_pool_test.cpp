@@ -151,7 +151,9 @@ TEST(ThreadPool, ShutdownDuringParallelForDrainsBeforeRethrow) {
     const int after_join = ran.load();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     EXPECT_EQ(ran.load(), after_join);
-    if (threw) EXPECT_LT(after_join, 10'000);
+    if (threw) {
+      EXPECT_LT(after_join, 10'000);
+    }
   }
 }
 

@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <vector>
 
 #include "faults/fault_config.hpp"
 #include "harness/matrix_runner.hpp"
@@ -72,23 +74,34 @@ TEST_F(FaultInjectionTest, ZeroRateArmedInjectorIsBitIdentical) {
   }
 }
 
+/// ASAP parameter overrides covering both placements: the preset's flat
+/// defaults, and the superpeer placement with `scheme`.
+std::vector<std::optional<ads::AsapParams>> both_placements(
+    search::Scheme scheme) {
+  return {std::nullopt, ads::AsapParams::superpeer(scheme)};
+}
+
 TEST_F(FaultInjectionTest, ChurnHardensRetriesAndEvictsStaleAds) {
-  RunOptions opts;
-  opts.faults = heavy_churn();
-  opts.audit = true;
-  const auto res = run_experiment(*world_, AlgoKind::kAsapRw, opts);
-  EXPECT_TRUE(res.faults.enabled);
-  EXPECT_GT(res.faults.crashes, 0u);
-  EXPECT_GT(res.faults.dead_sends, 0u);
-  EXPECT_GT(res.asap_counters.confirm_retries, 0u);
-  EXPECT_GT(res.asap_counters.retry_bytes, 0u);
-  EXPECT_GT(res.asap_counters.stale_evictions, 0u);
-  EXPECT_GT(res.faults.queries_after_onset, 0u);
-  EXPECT_GE(res.faults.success_rate_after_onset, 0.0);
-  EXPECT_LE(res.faults.success_rate_after_onset, 1.0);
-  ASSERT_TRUE(res.audited);
-  EXPECT_EQ(res.audit_violations, 0u)
-      << (res.audit_messages.empty() ? "" : res.audit_messages.front());
+  for (const auto& asap : both_placements(search::Scheme::kRandomWalk)) {
+    RunOptions opts;
+    opts.asap = asap;
+    opts.faults = heavy_churn();
+    opts.audit = true;
+    SCOPED_TRACE(asap ? "superpeer" : "flat");
+    const auto res = run_experiment(*world_, AlgoKind::kAsapRw, opts);
+    EXPECT_TRUE(res.faults.enabled);
+    EXPECT_GT(res.faults.crashes, 0u);
+    EXPECT_GT(res.faults.dead_sends, 0u);
+    EXPECT_GT(res.asap_counters.confirm_retries, 0u);
+    EXPECT_GT(res.asap_counters.retry_bytes, 0u);
+    EXPECT_GT(res.asap_counters.stale_evictions, 0u);
+    EXPECT_GT(res.faults.queries_after_onset, 0u);
+    EXPECT_GE(res.faults.success_rate_after_onset, 0.0);
+    EXPECT_LE(res.faults.success_rate_after_onset, 1.0);
+    ASSERT_TRUE(res.audited);
+    EXPECT_EQ(res.audit_violations, 0u)
+        << (res.audit_messages.empty() ? "" : res.audit_messages.front());
+  }
 }
 
 TEST_F(FaultInjectionTest, BaselinesPayForSendsIntoTheVoid) {
@@ -143,19 +156,24 @@ TEST_F(FaultInjectionTest, TotalBurstBlackoutTerminates) {
 }
 
 TEST_F(FaultInjectionTest, FaultRunsAreDeterministic) {
-  RunOptions opts;
-  opts.faults = heavy_churn();
-  const auto a = run_experiment(*world_, AlgoKind::kAsapGsa, opts);
-  const auto b = run_experiment(*world_, AlgoKind::kAsapGsa, opts);
-  EXPECT_EQ(a.digest, b.digest);
-  EXPECT_EQ(a.engine_events, b.engine_events);
-  EXPECT_EQ(a.faults.dead_sends, b.faults.dead_sends);
-  EXPECT_EQ(a.asap_counters.confirm_retries, b.asap_counters.confirm_retries);
-  // The injected schedule derives from the world seed alone, so every
-  // algorithm faces the same crashes.
-  const auto c = run_experiment(*world_, AlgoKind::kFlooding, opts);
-  EXPECT_EQ(a.faults.crashes, c.faults.crashes);
-  EXPECT_DOUBLE_EQ(a.faults.first_fault_time, c.faults.first_fault_time);
+  for (const auto& asap : both_placements(search::Scheme::kGsa)) {
+    RunOptions opts;
+    opts.asap = asap;
+    opts.faults = heavy_churn();
+    SCOPED_TRACE(asap ? "superpeer" : "flat");
+    const auto a = run_experiment(*world_, AlgoKind::kAsapGsa, opts);
+    const auto b = run_experiment(*world_, AlgoKind::kAsapGsa, opts);
+    EXPECT_EQ(a.digest, b.digest);
+    EXPECT_EQ(a.engine_events, b.engine_events);
+    EXPECT_EQ(a.faults.dead_sends, b.faults.dead_sends);
+    EXPECT_EQ(a.asap_counters.confirm_retries,
+              b.asap_counters.confirm_retries);
+    // The injected schedule derives from the world seed alone, so every
+    // algorithm faces the same crashes.
+    const auto c = run_experiment(*world_, AlgoKind::kFlooding, opts);
+    EXPECT_EQ(a.faults.crashes, c.faults.crashes);
+    EXPECT_DOUBLE_EQ(a.faults.first_fault_time, c.faults.first_fault_time);
+  }
 }
 
 // Observability stays passive under faults, and the new span kinds appear.

@@ -7,10 +7,10 @@
 // it, so "did PR X silently change Fig 4-9?" is a red test with a
 // readable diff instead of an eyeball check.
 //
-// When a change is *intentional*, refresh the baseline and commit it
-// (EXPERIMENTS.md, "Matrix runner" section):
+// When a change is *intentional*, refresh the baseline with this one
+// command line and commit it (EXPERIMENTS.md, "Matrix runner" section):
 //
-//   build/tools/asap_sim --matrix --preset small --topology crawled \
+//   build/tools/asap_sim --matrix --preset small --topology crawled
 //     --algo all --seed 42 --trials 1 --json tests/support/golden_small.json
 #include <gtest/gtest.h>
 

@@ -154,6 +154,40 @@ TEST(MatrixRunner, ResultsJsonRoundTripsTheSpec) {
   }
 }
 
+TEST(MatrixRunner, SpecCountsMustBeUint32Integers) {
+  const auto spec_with = [](const char* key, double value) {
+    json::Object spec;
+    spec.emplace_back("preset", "small");
+    spec.emplace_back("topologies", json::Array{json::Value("crawled")});
+    spec.emplace_back("algos", json::Array{json::Value("flooding")});
+    spec.emplace_back("seed", json::hex_u64(1));
+    spec.emplace_back("trials", 1.0);
+    spec.emplace_back("queries", 100.0);
+    spec.emplace_back("message_loss", 0.0);
+    spec.emplace_back("audit", false);
+    spec.emplace_back("scale", 0.0);
+    for (auto& [k, v] : spec) {
+      if (k == key) v = value;
+    }
+    json::Object doc;
+    doc.emplace_back("spec", std::move(spec));
+    return json::Value(std::move(doc));
+  };
+  for (const char* key : {"trials", "queries", "scale"}) {
+    for (const double bad : {-1.0, 2.5, 1e30, 4294967296.0}) {
+      try {
+        spec_from_json(spec_with(key, bad));
+        ADD_FAILURE() << key << " = " << bad << " was accepted";
+      } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << "error does not name the key: " << e.what();
+      }
+    }
+  }
+  EXPECT_EQ(spec_from_json(spec_with("queries", 4294967295.0)).queries,
+            4294967295u);
+}
+
 TEST(MatrixRunner, RejectsDegenerateSpecs) {
   auto spec = tiny_spec();
   spec.trials = 0;

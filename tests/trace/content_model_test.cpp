@@ -185,7 +185,9 @@ TEST(Classes, NamesAndWeights) {
     EXPECT_FALSE(class_name(static_cast<TopicId>(c)).empty());
     EXPECT_GT(w[c], 0.0);
     total += w[c];
-    if (c > 0) EXPECT_LE(w[c], w[c - 1]);  // sorted by popularity
+    if (c > 0) {
+      EXPECT_LE(w[c], w[c - 1]);  // sorted by popularity
+    }
   }
   EXPECT_NEAR(total, 1.0, 1e-12);
   EXPECT_THROW(class_name(kNumClasses), ConfigError);
