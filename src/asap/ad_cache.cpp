@@ -464,26 +464,6 @@ std::size_t AdCache::order_terms(
   return n;
 }
 
-bool AdCache::entry_matches(std::size_t idx, const bloom::HashedQuery& query,
-                            std::span<const std::uint8_t> order) const {
-  const bloom::BloomFilter& filter = records_[idx].ad->filter;
-  if (filter.params() != query.params()) {
-    return filter.contains_all(query.terms());
-  }
-  const auto words = filter.words();
-  const auto keys = query.keys();
-  if (order.empty()) {
-    for (const bloom::HashedKey& k : keys) {
-      if (!k.present_in(words)) return false;
-    }
-    return true;
-  }
-  for (const std::uint8_t t : order) {
-    if (!keys[t].present_in(words)) return false;
-  }
-  return true;
-}
-
 void AdCache::collect_matches(const bloom::HashedQuery& query,
                               std::vector<AdPayloadPtr>& out) const {
   out.clear();
@@ -495,7 +475,9 @@ void AdCache::collect_matches(const bloom::HashedQuery& query,
     const bool prefilter_ok = query.params() == kCanonical;
     for (std::size_t i = 0; i < records_.size(); ++i) {
       if (prefilter_ok && (prefilter_[i] & need) != need) continue;
-      if (entry_matches(i, query, order)) out.push_back(records_[i].ad);
+      if (query.matches(records_[i].ad->filter, order)) {
+        out.push_back(records_[i].ad);
+      }
     }
   }
 #ifdef ASAP_AUDIT_FORCE_ON
@@ -520,7 +502,7 @@ void AdCache::collect_for_reply(const bloom::HashedQuery& query,
   const bool prefilter_ok = query.params() == kCanonical;
   const auto matches = [&](std::size_t i) {
     if (prefilter_ok && (prefilter_[i] & need) != need) return false;
-    return entry_matches(i, query, order);
+    return query.matches(records_[i].ad->filter, order);
   };
   // Pass 1: ads that already satisfy the query terms.
   bool truncated = false;

@@ -307,12 +307,6 @@ class AdCache {
                           std::array<std::uint8_t, kMaxOrderedTerms>& order)
       const;
 
-  /// Full match test for one entry against the hashed query (prefilter
-  /// already passed). Falls back to the legacy per-term scan on a filter
-  /// geometry mismatch.
-  bool entry_matches(std::size_t idx, const bloom::HashedQuery& query,
-                     std::span<const std::uint8_t> order) const;
-
   /// Prefilter geometry: the system-wide default.
   static constexpr bloom::BloomParams kCanonical{};
 

@@ -22,13 +22,9 @@ void HashedQuery::assign(std::span<const KeywordId> terms,
   keys_.clear();
   keys_.reserve(terms_.size());
   fold_all_ = 0;
-  batch_.clear();
   for (const KeywordId term : terms_) {
-    const HashedKey& k = keys_.emplace_back(term, params);
-    fold_all_ |= k.fold_mask();
-    batch_.add_positions(k.positions());
+    fold_all_ |= keys_.emplace_back(term, params).fold_mask();
   }
-  batch_.finalize();
 }
 
 }  // namespace asap::bloom

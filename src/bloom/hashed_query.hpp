@@ -28,7 +28,6 @@
 #include <span>
 #include <vector>
 
-#include "bloom/batch_probe.hpp"
 #include "bloom/bloom.hpp"
 #include "common/types.hpp"
 
@@ -92,27 +91,33 @@ class HashedQuery {
   /// bits cannot contain all terms.
   std::uint64_t fold_mask_all() const { return fold_all_; }
 
-  /// Position-sorted, word-merged probe plan over all terms
-  /// (batch_probe.hpp) — what matches() executes.
-  const BatchProbe& batch() const { return batch_; }
-
   /// True iff the filter claims every term (the paper's ad match test).
   /// Vacuously true for an empty query, like BloomFilter::contains_all.
   /// Falls back to the legacy hash-per-term scan if the filter's geometry
   /// differs from the one this query was hashed for.
   ///
-  /// Executes the batch plan: the same conjunction as testing each key's
-  /// present_in() in turn, reassociated into sequential whole-word tests
-  /// (identical answers, so run digests are unchanged — DESIGN.md §12).
-  bool matches(const BloomFilter& f) const {
+  /// Tests each key's present_in() in `order` (indices into keys(), e.g.
+  /// AdCache's rarest-first order) when one is given, else in term order.
+  /// The order only changes how fast a non-match exits, never the answer.
+  bool matches(const BloomFilter& f,
+               std::span<const std::uint8_t> order = {}) const {
     if (f.params() != params_) return f.contains_all(terms_);
-    return batch_.all_set(f.words());
+    const auto words = f.words();
+    if (order.empty()) {
+      for (const HashedKey& k : keys_) {
+        if (!k.present_in(words)) return false;
+      }
+      return true;
+    }
+    for (const std::uint8_t t : order) {
+      if (!keys_[t].present_in(words)) return false;
+    }
+    return true;
   }
 
  private:
   std::vector<KeywordId> terms_;
   std::vector<HashedKey> keys_;
-  BatchProbe batch_;
   std::uint64_t fold_all_ = 0;
   BloomParams params_;
 };

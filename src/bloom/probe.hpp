@@ -1,8 +1,8 @@
 // The one Kirsch–Mitzenmacher probe sequence shared by every filter.
 //
-// All Bloom variants in the system (BloomFilter, CountingBloomFilter,
-// VariableBloomFilter) and the query-side fast path (hashed_query.hpp)
-// derive their k probe positions from the same double-hashing scheme:
+// Both Bloom filters in the system (BloomFilter, CountingBloomFilter) and
+// the query-side fast path (hashed_query.hpp) derive their k probe
+// positions from the same double-hashing scheme:
 //
 //   h1 = mix(key),  h2 = mix(key ^ golden) | 1
 //   pos_i = ((h1 + i*h2) mod 2^64) mod m          for i in [0, k)

@@ -17,6 +17,20 @@ bool FaultConfig::adversarial() const {
          confirm_dropper_fraction > 0.0 || storms > 0;
 }
 
+FaultConfig FaultConfig::with_trust(bool on) const {
+  FaultConfig fc = *this;
+  fc.trust_enabled = on;
+  fc.strike_per_chain = on;
+  if (on) {
+    if (fc.trust_fill_gate <= 0.0) fc.trust_fill_gate = 0.65;
+  } else {
+    fc.trust_fill_gate = 0.0;
+    fc.pending_query_cap = 0;
+    fc.ttl_clamp_depth = 0;
+  }
+  return fc;
+}
+
 void FaultConfig::validate() const {
   const auto in01 = [](double v) { return v >= 0.0 && v <= 1.0; };
   if (!in01(crash_fraction)) {

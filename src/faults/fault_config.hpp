@@ -137,6 +137,13 @@ struct FaultConfig {
   bool any() const;
   /// Throws ConfigError on out-of-range rates or durations.
   void validate() const;
+
+  /// This config under the --trust on|off defense override (DESIGN.md §16).
+  /// `on` arms trust scoring and one strike per confirm chain, and sets the
+  /// 0.65 fill gate when no gate was set; `off` strips trust, the strike
+  /// chain guard, the fill gate and the overload defenses
+  /// (pending_query_cap, ttl_clamp_depth).
+  FaultConfig with_trust(bool on) const;
 };
 
 /// A named FaultConfig — the matrix runner's scenario-axis element.

@@ -192,21 +192,8 @@ MatrixResult run_matrix(const MatrixSpec& spec) {
     // An all-zero scenario ("none") leaves opts.faults unset so the run
     // arms no injector and stays bit-identical to a legacy matrix cell.
     if (scen.config.any()) {
-      faults::FaultConfig fc = scen.config;
-      if (spec.trust.has_value()) {
-        if (*spec.trust) {
-          fc.trust_enabled = true;
-          fc.strike_per_chain = true;
-          if (fc.trust_fill_gate <= 0.0) fc.trust_fill_gate = 0.65;
-        } else {
-          fc.trust_enabled = false;
-          fc.strike_per_chain = false;
-          fc.trust_fill_gate = 0.0;
-          fc.pending_query_cap = 0;
-          fc.ttl_clamp_depth = 0;
-        }
-      }
-      opts.faults = fc;
+      opts.faults =
+          spec.trust ? scen.config.with_trust(*spec.trust) : scen.config;
     }
     slot.result =
         run_experiment(*worlds[topo_idx * trials + trial], algo, opts);

@@ -126,7 +126,7 @@ RunResult run_experiment(const World& world, AlgoKind kind,
   trace::ContentIndex index(world.model, live);
   sim::Liveness liveness(world.model.total_node_slots(),
                          world.model.params().initial_nodes);
-  sim::Engine engine(opts.engine_tuning);
+  sim::Engine engine;
   sim::BandwidthLedger ledger(horizon);
   // The algorithm's randomness and the world's churn randomness are kept
   // in separate streams so every algorithm sees identical churn.
@@ -313,7 +313,7 @@ RunResult run_experiment(const World& world, AlgoKind kind,
 
   // --- reduce -----------------------------------------------------------
   RunResult res;
-  res.algo = algo_name(kind);
+  res.algo = algo->name();
   res.search = algo->stats();
   res.measure_start = warmup;
   res.measure_end = warmup + world.trace.horizon;

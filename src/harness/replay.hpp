@@ -103,11 +103,6 @@ struct RunOptions {
   /// digest is bit-identical with and without an observer attached
   /// (enforced by tests/harness/observability_test.cpp, tier 1).
   obs::RunObserver* observer = nullptr;
-  /// Engine tuning (sim/engine.hpp). Any setting pops events in the same
-  /// (time, seq) order, so the run digest is invariant across inline and
-  /// forced-pool callbacks (enforced by tests/harness/engine_digest_test.cpp,
-  /// tier 1); non-default values are for tests only.
-  sim::EngineTuning engine_tuning;
 };
 
 /// What the fault layer did to one run (all zero when disabled).
@@ -153,6 +148,9 @@ struct FaultSummary {
 };
 
 struct RunResult {
+  /// The name() of the protocol that ran, e.g. "sp-asap(rw)" for the
+  /// superpeer placement or "asap-delta(rw)"; results.json keys use
+  /// algo_name(AlgoKind) instead.
   std::string algo;
   metrics::SearchStats search;
   metrics::LoadSummary load;

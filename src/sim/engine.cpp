@@ -7,7 +7,7 @@
 
 namespace asap::sim {
 
-void Engine::push(Seconds t, EventCallback cb) {
+void Engine::schedule_at(Seconds t, std::function<void()> cb) {
   ASAP_REQUIRE(std::isfinite(t), "event time must be finite");
   ASAP_REQUIRE(t >= now_, "cannot schedule an event in the past");
   queue_.push_back(Item{t, next_seq_++, std::move(cb)});
@@ -19,9 +19,6 @@ bool Engine::step() {
   std::pop_heap(queue_.begin(), queue_.end(), Later{});
   Item item = std::move(queue_.back());
   queue_.pop_back();
-  // Warm the next event's out-of-line closure (if any) while this one
-  // executes; purely a cache hint, so ordering and digests are untouched.
-  if (!queue_.empty()) queue_.front().cb.prefetch();
 
   ASAP_DCHECK(item.time >= now_);
   digest_.absorb(item.time);

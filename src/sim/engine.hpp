@@ -10,37 +10,31 @@
 //
 // Because only macro events are queued, real queues stay shallow (a few
 // thousand pending events at paper scale, DESIGN.md §14), so the pending
-// set is one binary heap driven by one thread.
-//
-// Callbacks are small-buffer EventCallbacks (event_callback.hpp) drawing
-// oversized closures from the engine's SlabPool instead of
-// std::function's per-event heap allocation.
+// set is one binary heap of plain std::function callbacks driven by one
+// thread (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
-#include <type_traits>
+#include <functional>
 #include <utility>
 #include <vector>
 
 #include "common/types.hpp"
 #include "sim/audit.hpp"
-#include "sim/event_callback.hpp"
 #include "sim/observe.hpp"
-#include "sim/slab_pool.hpp"
 
 namespace asap::sim {
 
-/// Engine knobs. The default is the production configuration.
-struct EngineTuning {
-  /// Test hook: pad every closure past EventCallback::kInlineSize so the
-  /// SlabPool fallback path runs for all events.
-  bool force_heap_callbacks = false;
-};
+/// Has no fields and changes nothing. It exists only because
+/// perfbench/src/traced_run.cpp constructs `sim::EngineTuning{}` and the
+/// benchmark sources must build unchanged; it goes with that call at the
+/// next change to the benchmark.
+struct EngineTuning {};
 
 class Engine {
  public:
-  Engine() : Engine(EngineTuning{}) {}
-  explicit Engine(const EngineTuning& tuning) : tuning_(tuning) {}
+  Engine() = default;
+  explicit Engine(const EngineTuning&) {}
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -48,23 +42,13 @@ class Engine {
   /// event's time.
   Seconds now() const { return now_; }
 
-  /// Schedule `f` at absolute time `t` (must be finite and not in the
-  /// past). Accepts any void() callable; captures up to
-  /// EventCallback::kInlineSize bytes are stored allocation-free.
-  template <typename F>
-  void schedule_at(Seconds t, F&& f) {
-    if (tuning_.force_heap_callbacks) {
-      push(t, EventCallback(pool_, Padded<std::decay_t<F>>(
-                                       std::forward<F>(f))));
-    } else {
-      push(t, EventCallback(pool_, std::forward<F>(f)));
-    }
-  }
+  /// Schedule `cb` at absolute time `t` (must be finite and not in the
+  /// past).
+  void schedule_at(Seconds t, std::function<void()> cb);
 
-  /// Schedule `f` `dt` seconds from now (dt >= 0).
-  template <typename F>
-  void schedule_in(Seconds dt, F&& f) {
-    schedule_at(now_ + dt, std::forward<F>(f));
+  /// Schedule `cb` `dt` seconds from now (dt >= 0).
+  void schedule_in(Seconds dt, std::function<void()> cb) {
+    schedule_at(now_ + dt, std::move(cb));
   }
 
   /// Pop and execute the earliest event. Returns false if none remain.
@@ -96,10 +80,8 @@ class Engine {
   struct Item {
     Seconds time;
     std::uint64_t seq;  ///< schedule counter: unique per run
-    EventCallback cb;
+    std::function<void()> cb;
   };
-  static_assert(sizeof(Item) == 64,
-                "queue Item should be exactly one cache line");
 
   /// Heap order for std::push_heap/pop_heap: the earliest (time, seq)
   /// sits at the front.
@@ -110,19 +92,6 @@ class Engine {
     }
   };
 
-  /// force_heap_callbacks wrapper: same behavior, guaranteed pool storage.
-  template <typename Fn>
-  struct Padded {
-    explicit Padded(Fn f) : fn(std::move(f)) {}
-    void operator()() { fn(); }
-    Fn fn;
-    unsigned char pad[EventCallback::kInlineSize + 1] = {};
-  };
-
-  void push(Seconds t, EventCallback cb);
-
-  SlabPool pool_;  // first member: must outlive every queued EventCallback
-  EngineTuning tuning_;
   std::vector<Item> queue_;  ///< binary min-heap on (time, seq)
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;

@@ -55,6 +55,43 @@ TEST(FaultConfig, ValidateRejectsOutOfRange) {
   reject([](FaultConfig& c) { c.crash_detection = -1.0; });
 }
 
+TEST(FaultConfig, WithTrustOnArmsTrustAndKeepsAnExplicitFillGate) {
+  FaultConfig c;
+  c.crash_fraction = 0.1;
+  c.pending_query_cap = 7;
+  c.ttl_clamp_depth = 5;
+  const FaultConfig on = c.with_trust(true);
+  EXPECT_TRUE(on.trust_enabled);
+  EXPECT_TRUE(on.strike_per_chain);
+  EXPECT_DOUBLE_EQ(on.trust_fill_gate, 0.65) << "no gate set: default one";
+  EXPECT_EQ(on.pending_query_cap, 7u) << "overload defenses stay as set";
+  EXPECT_EQ(on.ttl_clamp_depth, 5u);
+  EXPECT_DOUBLE_EQ(on.crash_fraction, 0.1) << "faults are not touched";
+  EXPECT_FALSE(c.trust_enabled) << "the original is left as it was";
+
+  c.trust_fill_gate = 0.8;
+  EXPECT_DOUBLE_EQ(c.with_trust(true).trust_fill_gate, 0.8)
+      << "an explicit gate is kept";
+}
+
+TEST(FaultConfig, WithTrustOffStripsTrustAndOverloadDefenses) {
+  FaultConfig c = fault_preset("byzantine").config;
+  c.trust_enabled = true;
+  c.strike_per_chain = true;
+  c.trust_fill_gate = 0.65;
+  c.pending_query_cap = 32;
+  c.ttl_clamp_depth = 24;
+  const FaultConfig off = c.with_trust(false);
+  EXPECT_FALSE(off.trust_enabled);
+  EXPECT_FALSE(off.strike_per_chain);
+  EXPECT_EQ(off.trust_fill_gate, 0.0);
+  EXPECT_EQ(off.pending_query_cap, 0u);
+  EXPECT_EQ(off.ttl_clamp_depth, 0u);
+  EXPECT_DOUBLE_EQ(off.polluter_fraction, c.polluter_fraction)
+      << "adversaries are not touched";
+  EXPECT_EQ(off.storms, c.storms);
+}
+
 TEST(FaultPresets, CanonicalNamesAllResolve) {
   const auto& names = fault_preset_names();
   ASSERT_EQ(names.size(), 11u);

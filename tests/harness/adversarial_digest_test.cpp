@@ -1,8 +1,7 @@
 // Determinism gate for the adversarial fault domain: Byzantine roles,
 // storm schedules and the trust/overload defenses are all compiled from
 // seeded plans and per-node RNG streams, so an adversarial run must be a
-// pure function of (world, seed) — bit-identical when repeated and when
-// every event closure takes the engine's pooled-callback path, exactly
+// pure function of (world, seed) — bit-identical when repeated, exactly
 // like the crash/partition presets before it.
 #include <gtest/gtest.h>
 
@@ -40,7 +39,7 @@ World* AdversarialDigestTest::world_ = nullptr;
 
 constexpr const char* kPresets[] = {"polluted", "storm", "byzantine"};
 
-TEST_F(AdversarialDigestTest, PresetsDigestIdenticallyWhenRepeatedAndPooled) {
+TEST_F(AdversarialDigestTest, PresetsDigestIdenticallyWhenRepeated) {
   for (const char* preset : kPresets) {
     RunOptions opts;
     opts.faults = faults::fault_preset(preset).config;
@@ -49,10 +48,6 @@ TEST_F(AdversarialDigestTest, PresetsDigestIdenticallyWhenRepeatedAndPooled) {
     const auto again = run_experiment(*world_, AlgoKind::kAsapRw, opts);
     EXPECT_EQ(again.digest, base.digest) << preset << " / repeated";
     EXPECT_EQ(again.engine_events, base.engine_events) << preset;
-    opts.engine_tuning.force_heap_callbacks = true;
-    const auto pooled = run_experiment(*world_, AlgoKind::kAsapRw, opts);
-    EXPECT_EQ(pooled.digest, base.digest) << preset << " / pooled";
-    EXPECT_EQ(pooled.engine_events, base.engine_events) << preset;
   }
 }
 

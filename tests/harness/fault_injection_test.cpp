@@ -89,6 +89,8 @@ TEST_F(FaultInjectionTest, ChurnHardensRetriesAndEvictsStaleAds) {
     opts.audit = true;
     SCOPED_TRACE(asap ? "superpeer" : "flat");
     const auto res = run_experiment(*world_, AlgoKind::kAsapRw, opts);
+    EXPECT_EQ(res.algo, asap ? "sp-asap(rw)" : "asap(rw)")
+        << "the result names the placement that ran";
     EXPECT_TRUE(res.faults.enabled);
     EXPECT_GT(res.faults.crashes, 0u);
     EXPECT_GT(res.faults.dead_sends, 0u);
@@ -163,6 +165,7 @@ TEST_F(FaultInjectionTest, FaultRunsAreDeterministic) {
     SCOPED_TRACE(asap ? "superpeer" : "flat");
     const auto a = run_experiment(*world_, AlgoKind::kAsapGsa, opts);
     const auto b = run_experiment(*world_, AlgoKind::kAsapGsa, opts);
+    EXPECT_EQ(a.algo, asap ? "sp-asap(gsa)" : "asap(gsa)");
     EXPECT_EQ(a.digest, b.digest);
     EXPECT_EQ(a.engine_events, b.engine_events);
     EXPECT_EQ(a.faults.dead_sends, b.faults.dead_sends);

@@ -39,14 +39,17 @@ using RefQueue =
 class Mirror {
  public:
   Mirror() = default;
-  explicit Mirror(const EngineTuning& tuning) : engine(tuning) {}
+  /// With `large_closures`, every callback also captures a heap-owning
+  /// vector: past std::function's 16-byte inline buffer and not trivially
+  /// copyable, so every closure is stored on the heap.
+  explicit Mirror(bool large_closures) : large_closures_(large_closures) {}
 
   /// Schedules an event at `t`; with `depth` < 2 its callback may spawn
   /// children at execution time (mirrored into the model the same way).
   void schedule_at(Seconds t, int depth) {
     const int id = next_id_++;
     model.push(RefEvent{t, next_seq_++, id});
-    engine.schedule_at(t, [this, id, depth] {
+    const auto run = [this, id, depth] {
       executed.push_back(id);
       if (depth < 2 && spawn_rng_.chance(0.4)) {
         const int children = 1 + static_cast<int>(spawn_rng_.below(3));
@@ -55,7 +58,15 @@ class Mirror {
                       depth + 1);
         }
       }
-    });
+    };
+    if (large_closures_) {
+      engine.schedule_at(t, [run, id, tag = std::vector<int>(8, id)] {
+        EXPECT_EQ(tag, std::vector<int>(8, id)) << "capture corrupted";
+        run();
+      });
+    } else {
+      engine.schedule_at(t, run);
+    }
   }
 
   /// Pops the model and steps the engine; they must agree on which event
@@ -77,6 +88,7 @@ class Mirror {
   std::vector<int> executed;
 
  private:
+  bool large_closures_ = false;
   std::uint64_t next_seq_ = 0;  // mirrors Engine's internal counter
   int next_id_ = 0;
   Rng spawn_rng_{0xC0FFEE};
@@ -141,13 +153,26 @@ TEST(EngineProperty, RunUntilLeavesPostHorizonEventsQueued) {
   EXPECT_EQ(m.engine.pending(), 0u);
 }
 
-/// Random interleavings under a given tuning: every configuration must
-/// match the priority_queue reference exactly.
-void run_interleaving_sweep(const EngineTuning& tuning, std::uint64_t seed,
-                            int ops) {
-  Mirror m(tuning);
-  Rng rng(seed);
-  for (int op = 0; op < ops; ++op) {
+TEST(EngineProperty, DeepBacklogMatchesReferenceModel) {
+  // An 80,000-event backlog — ten times paper-asap-rw's peak of 7,919
+  // pending events — drained with the callbacks' own spawns interleaved.
+  Mirror m;
+  Rng rng(137);
+  for (int i = 0; i < 80'000; ++i) {
+    m.schedule_at(rng.uniform(0.0, 10'000.0), 0);
+  }
+  while (!m.model.empty()) {
+    m.step_and_check();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(EngineProperty, LargeClosuresMatchReferenceModel) {
+  // Heap-stored closures are moved through the binary heap like inline
+  // ones; they must run in the model's order with their captures intact.
+  Mirror m(/*large_closures=*/true);
+  Rng rng(83);
+  for (int op = 0; op < 20'000; ++op) {
     if (m.model.empty() || rng.chance(0.6)) {
       Seconds t = m.engine.now();
       if (!rng.chance(0.2)) t += rng.uniform(0.0, 100.0);
@@ -164,26 +189,6 @@ void run_interleaving_sweep(const EngineTuning& tuning, std::uint64_t seed,
     if (::testing::Test::HasFatalFailure()) return;
   }
   EXPECT_FALSE(m.engine.step());
-}
-
-TEST(EngineProperty, DeepBacklogMatchesReferenceModel) {
-  // An 80,000-event backlog — ten times paper-asap-rw's peak of 7,919
-  // pending events — drained with the callbacks' own spawns interleaved.
-  Mirror m;
-  Rng rng(137);
-  for (int i = 0; i < 80'000; ++i) {
-    m.schedule_at(rng.uniform(0.0, 10'000.0), 0);
-  }
-  while (!m.model.empty()) {
-    m.step_and_check();
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-TEST(EngineProperty, PooledCallbacksMatchReferenceModel) {
-  EngineTuning t;
-  t.force_heap_callbacks = true;  // every closure through the SlabPool
-  run_interleaving_sweep(t, 83, 20'000);
 }
 
 TEST(EngineProperty, GeometricTailWavesMatchReferenceModel) {

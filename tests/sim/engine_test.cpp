@@ -123,36 +123,26 @@ TEST(Engine, HeapStressRandomOrder) {
   EXPECT_EQ(executed, 5'000);
 }
 
-TEST(Engine, DigestIdenticalAcrossQueueAndCallbackConfigurations) {
-  // The digest hashes executed (time, seq) pairs, so inline and
-  // forced-pool callbacks must agree bit for bit. The expected constant is
-  // the digest the previous heap/ladder engine computed for this workload,
-  // so the pop order is checked against that engine, not only against
+TEST(Engine, DefaultDigestIsPinned) {
+  // The digest hashes executed (time, seq) pairs. The expected constant is
+  // the digest the earlier heap/ladder engines computed for this workload,
+  // so the pop order is checked against those engines, not only against
   // itself.
-  const auto run_with = [](const EngineTuning& tuning) {
-    Engine e(tuning);
-    Rng rng(0xD1CE5);
-    for (int i = 0; i < 20'000; ++i) {
-      // A slice of events re-schedules follow-ups, exercising pushes into
-      // partially consumed queues.
-      if (i % 7 == 0) {
-        e.schedule_at(rng.uniform(0.0, 1000.0), [&e, i] {
-          e.schedule_in(0.25 + static_cast<double>(i % 13), [] {});
-        });
-      } else {
-        e.schedule_at(rng.uniform(0.0, 1000.0), [] {});
-      }
+  Engine e;
+  Rng rng(0xD1CE5);
+  for (int i = 0; i < 20'000; ++i) {
+    // A slice of events re-schedules follow-ups, exercising pushes into
+    // partially consumed queues.
+    if (i % 7 == 0) {
+      e.schedule_at(rng.uniform(0.0, 1000.0), [&e, i] {
+        e.schedule_in(0.25 + static_cast<double>(i % 13), [] {});
+      });
+    } else {
+      e.schedule_at(rng.uniform(0.0, 1000.0), [] {});
     }
-    e.run();
-    return e.digest();
-  };
-
-  const std::uint64_t base = run_with(EngineTuning{});
-  EXPECT_EQ(base, 0x2b69745dec3ef955ULL) << "default digest moved";
-
-  EngineTuning pooled;
-  pooled.force_heap_callbacks = true;
-  EXPECT_EQ(run_with(pooled), base) << "pooled-callback digest diverged";
+  }
+  e.run();
+  EXPECT_EQ(e.digest(), 0x2b69745dec3ef955ULL) << "default digest moved";
 }
 
 }  // namespace

@@ -475,21 +475,8 @@ int main(int argc, char** argv) {
           auto opts = options_for(args, kind);
           if (!args.fault_scenarios.empty() &&
               args.fault_scenarios.front().config.any()) {
-            faults::FaultConfig fc = args.fault_scenarios.front().config;
-            if (args.trust.has_value()) {
-              if (*args.trust) {
-                fc.trust_enabled = true;
-                fc.strike_per_chain = true;
-                if (fc.trust_fill_gate <= 0.0) fc.trust_fill_gate = 0.65;
-              } else {
-                fc.trust_enabled = false;
-                fc.strike_per_chain = false;
-                fc.trust_fill_gate = 0.0;
-                fc.pending_query_cap = 0;
-                fc.ttl_clamp_depth = 0;
-              }
-            }
-            opts.faults = fc;
+            const auto& fc = args.fault_scenarios.front().config;
+            opts.faults = args.trust ? fc.with_trust(*args.trust) : fc;
           }
           // Safe across the pool: tracing is restricted to one algorithm
           // and one topology, so at most one run sees the observer.
