@@ -18,11 +18,10 @@ int main(int argc, char** argv) {
   const std::vector<harness::AlgoKind> algos{
       harness::AlgoKind::kFlooding, harness::AlgoKind::kRandomWalk,
       harness::AlgoKind::kGsa, harness::AlgoKind::kAsapRw};
-  auto cells = bench::run_cells(args, algos);
-  bench::sort_cells(cells, algos);
+  const auto runs = harness::run_matrix(bench::matrix_spec(args, algos)).trials;
 
   // A 100-second window in the middle of the measurement period.
-  const auto& first = cells.front().result;
+  const auto& first = runs.front().result;
   const std::size_t series_len = first.load.series.size();
   const std::size_t window = std::min<std::size_t>(100, series_len);
   const std::size_t start =
@@ -31,27 +30,27 @@ int main(int argc, char** argv) {
   std::cout << "=== Fig 10: per-second system load, crawled topology, "
             << window << " s window starting at t=+" << start << " s ===\n\n";
   std::vector<std::string> headers{"t (s)"};
-  for (const auto& cell : cells) headers.push_back(cell.result.algo);
+  for (const auto& run : runs) headers.push_back(run.result.algo);
   TextTable table(headers);
   for (std::size_t s = 0; s < window; ++s) {
     std::vector<std::string> row{std::to_string(start + s)};
-    for (const auto& cell : cells) {
+    for (const auto& run : runs) {
       row.push_back(
-          TextTable::num(cell.result.load.series[start + s], 1));
+          TextTable::num(run.result.load.series[start + s], 1));
     }
     table.add_row(row);
   }
   table.print(std::cout);
 
   std::cout << "\nwindow summary (B/node/s):\n";
-  for (const auto& cell : cells) {
-    const auto& series = cell.result.load.series;
+  for (const auto& run : runs) {
+    const auto& series = run.result.load.series;
     double mx = 0.0, sum = 0.0;
     for (std::size_t s = 0; s < window; ++s) {
       mx = std::max(mx, series[start + s]);
       sum += series[start + s];
     }
-    std::cout << "  " << cell.result.algo << ": mean "
+    std::cout << "  " << run.result.algo << ": mean "
               << TextTable::num(sum / window, 1) << ", peak "
               << TextTable::num(mx, 1) << '\n';
   }

@@ -14,8 +14,7 @@
 int main(int argc, char** argv) {
   using namespace asap;
   const auto args = bench::BenchArgs::parse(argc, argv);
-  auto cells = bench::run_cells(args, bench::all_algos());
-  bench::sort_cells(cells, bench::all_algos());
+  const auto runs = harness::run_matrix(bench::matrix_spec(args)).trials;
 
   std::cout << "=== Fig 4: search success rate (%) ===\n";
   std::cout << "=== Fig 5: average response time of successful searches "
@@ -25,15 +24,15 @@ int main(int argc, char** argv) {
   TextTable table({"topology", "algorithm", "success % (Fig4)",
                    "resp ms (Fig5)", "cost/search (Fig6)", "msgs/search",
                    "local hit %"});
-  for (const auto& cell : cells) {
-    const auto& s = cell.result.search;
+  for (const auto& run : runs) {
+    const auto& s = run.result.search;
     table.add_row(
-        {harness::topology_name(cell.topology), cell.result.algo,
+        {harness::topology_name(run.topology), run.result.algo,
          TextTable::num(100.0 * s.success_rate(), 1),
          TextTable::num(1e3 * s.avg_response_time(), 1),
          TextTable::bytes(s.avg_cost_bytes()),
          TextTable::num(s.avg_messages(), 1),
-         harness::is_asap(cell.algo)
+         harness::is_asap(run.algo)
              ? TextTable::num(100.0 * s.local_hit_rate(), 1)
              : std::string("-")});
   }
@@ -42,10 +41,10 @@ int main(int argc, char** argv) {
   // Headline ratios on the crawled topology (the paper's §V focus).
   const harness::RunResult* flood = nullptr;
   const harness::RunResult* asap_rw = nullptr;
-  for (const auto& cell : cells) {
-    if (cell.topology != harness::TopologyKind::kCrawled) continue;
-    if (cell.algo == harness::AlgoKind::kFlooding) flood = &cell.result;
-    if (cell.algo == harness::AlgoKind::kAsapRw) asap_rw = &cell.result;
+  for (const auto& run : runs) {
+    if (run.topology != harness::TopologyKind::kCrawled) continue;
+    if (run.algo == harness::AlgoKind::kFlooding) flood = &run.result;
+    if (run.algo == harness::AlgoKind::kAsapRw) asap_rw = &run.result;
   }
   if (flood != nullptr && asap_rw != nullptr &&
       flood->search.avg_response_time() > 0.0) {

@@ -13,9 +13,9 @@ int main(int argc, char** argv) {
   auto args = bench::BenchArgs::parse(argc, argv);
   args.topologies = {harness::TopologyKind::kCrawled};
 
-  const auto cells =
-      bench::run_cells(args, {harness::AlgoKind::kAsapRw});
-  const auto& res = cells.front().result;
+  const auto matrix = harness::run_matrix(
+      bench::matrix_spec(args, {harness::AlgoKind::kAsapRw}));
+  const auto& res = matrix.trials.front().result;
 
   std::cout << "=== Fig 7: ASAP(RW) system load breakdown, crawled "
                "topology ===\n\n";

@@ -14,17 +14,16 @@
 int main(int argc, char** argv) {
   using namespace asap;
   const auto args = bench::BenchArgs::parse(argc, argv);
-  auto cells = bench::run_cells(args, bench::all_algos());
-  bench::sort_cells(cells, bench::all_algos());
+  const auto runs = harness::run_matrix(bench::matrix_spec(args)).trials;
 
   std::cout << "=== Fig 8: average system load (bytes/node/s) ===\n";
   std::cout << "=== Fig 9: system load standard deviation ===\n\n";
 
   TextTable table({"topology", "algorithm", "load B/node/s (Fig8)",
                    "stddev (Fig9)", "peak B/node/s"});
-  for (const auto& cell : cells) {
-    const auto& l = cell.result.load;
-    table.add_row({harness::topology_name(cell.topology), cell.result.algo,
+  for (const auto& run : runs) {
+    const auto& l = run.result.load;
+    table.add_row({harness::topology_name(run.topology), run.result.algo,
                    TextTable::num(l.mean_bytes_per_node_per_sec, 1),
                    TextTable::num(l.stddev_bytes_per_node_per_sec, 1),
                    TextTable::num(l.peak_bytes_per_node_per_sec, 1)});
@@ -34,10 +33,10 @@ int main(int argc, char** argv) {
   // Headline ratio: ASAP(RW) vs the random-walk baseline (crawled).
   const harness::RunResult* rw = nullptr;
   const harness::RunResult* asap_rw = nullptr;
-  for (const auto& cell : cells) {
-    if (cell.topology != harness::TopologyKind::kCrawled) continue;
-    if (cell.algo == harness::AlgoKind::kRandomWalk) rw = &cell.result;
-    if (cell.algo == harness::AlgoKind::kAsapRw) asap_rw = &cell.result;
+  for (const auto& run : runs) {
+    if (run.topology != harness::TopologyKind::kCrawled) continue;
+    if (run.algo == harness::AlgoKind::kRandomWalk) rw = &run.result;
+    if (run.algo == harness::AlgoKind::kAsapRw) asap_rw = &run.result;
   }
   if (rw != nullptr && asap_rw != nullptr &&
       rw->load.mean_bytes_per_node_per_sec > 0.0) {

@@ -1,29 +1,26 @@
 // Shared plumbing for the figure-reproduction benches: command-line
-// parsing, the (algorithm x topology) cell runner, and result tables.
+// parsing and the matrix spec a figure bench hands harness::run_matrix.
 //
 // Every bench accepts:
 //   --preset small|paper   world scale (default: small; paper = §IV-A)
 //   --seed N               master seed (default 42)
 //   --queries N            override trace query count
-//   --topology t1,t2       subset of random,powerlaw,crawled
+//   --topology t1,t2|all   subset of random,powerlaw,crawled, run in the
+//                          given order
 //   --jobs N               parallel cells (default: hardware concurrency)
-//   --trials N             repetitions per cell; trial k re-rolls the
-//                          algorithm stream with trial_seed_salt(k)
+//   --trials N             repetitions per cell; trial k runs with world
+//                          seed seed ^ trial_seed_salt(k)
 //                          (harness/replay.hpp), the same "trial k of
-//                          seed s" the matrix runner uses
+//                          seed s" asap_sim runs
 #pragma once
 
 #include <cstdint>
 #include <iostream>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
-#include "harness/replay.hpp"
-#include "harness/world.hpp"
+#include "harness/matrix_runner.hpp"
 
 namespace asap::bench {
 
@@ -32,8 +29,7 @@ struct BenchArgs {
   std::uint64_t seed = 42;
   std::uint32_t queries_override = 0;  // 0 = preset default
   std::vector<harness::TopologyKind> topologies{
-      harness::TopologyKind::kRandom, harness::TopologyKind::kPowerlaw,
-      harness::TopologyKind::kCrawled};
+      std::begin(harness::kAllTopologies), std::end(harness::kAllTopologies)};
   std::size_t jobs = 0;       // 0 = hardware concurrency
   std::uint32_t trials = 1;   // repetitions per (topology, algorithm) cell
 
@@ -52,13 +48,9 @@ inline BenchArgs BenchArgs::parse(int argc, char** argv) {
     };
     if (flag == "--preset") {
       const auto v = next();
-      if (v == "paper") {
-        args.preset = harness::Preset::kPaper;
-      } else if (v == "small") {
-        args.preset = harness::Preset::kSmall;
-      } else {
-        throw ConfigError("unknown preset: " + v);
-      }
+      const auto preset = harness::preset_from_name(v);
+      if (!preset) throw ConfigError("unknown preset: " + v);
+      args.preset = *preset;
     } else if (flag == "--seed") {
       args.seed = std::stoull(next());
     } else if (flag == "--queries") {
@@ -70,28 +62,11 @@ inline BenchArgs BenchArgs::parse(int argc, char** argv) {
       args.trials = static_cast<std::uint32_t>(std::stoul(next()));
       if (args.trials == 0) throw ConfigError("--trials must be >= 1");
     } else if (flag == "--topology") {
-      args.topologies.clear();
-      std::string list = next();
-      std::size_t pos = 0;
-      while (pos <= list.size()) {
-        const auto comma = list.find(',', pos);
-        const auto item = list.substr(
-            pos, comma == std::string::npos ? std::string::npos : comma - pos);
-        if (item == "random") {
-          args.topologies.push_back(harness::TopologyKind::kRandom);
-        } else if (item == "powerlaw") {
-          args.topologies.push_back(harness::TopologyKind::kPowerlaw);
-        } else if (item == "crawled") {
-          args.topologies.push_back(harness::TopologyKind::kCrawled);
-        } else {
-          throw ConfigError("unknown topology: " + item);
-        }
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
-      }
+      args.topologies = harness::topologies_from_list(next());
     } else if (flag == "--help" || flag == "-h") {
       std::cout << "flags: --preset small|paper --seed N --queries N "
-                   "--topology random,powerlaw,crawled --jobs N --trials N\n";
+                   "--topology random,powerlaw,crawled|all --jobs N "
+                   "--trials N\n";
       std::exit(0);
     } else {
       throw ConfigError("unknown flag: " + flag);
@@ -110,77 +85,23 @@ inline harness::ExperimentConfig make_config(
   return cfg;
 }
 
-/// One completed (topology, algorithm, trial) cell.
-struct Cell {
-  harness::TopologyKind topology;
-  harness::AlgoKind algo;
-  std::uint32_t trial = 0;
-  harness::RunResult result;
-};
-
-/// Runs the requested algorithms on each topology, args.trials times each.
-/// Worlds are built once per topology and shared (read-only) by its cells;
-/// trial k re-rolls the algorithm stream with seed_salt =
-/// trial_seed_salt(k), the canonical "trial k of seed s" derivation
-/// (harness/replay.hpp), so bench trials and matrix-runner trials with the
-/// same master seed agree on trial 0 exactly. Cells run on a thread pool
-/// (degenerates to sequential on a single-core machine).
-inline std::vector<Cell> run_cells(
-    const BenchArgs& args, const std::vector<harness::AlgoKind>& algos,
-    const harness::RunOptions& opts = {}) {
-  std::vector<Cell> cells;
-  std::mutex mu;
-  for (const auto topo : args.topologies) {
-    std::cerr << "[bench] building " << harness::topology_name(topo)
-              << " world...\n";
-    const auto world = harness::build_world(make_config(args, topo));
-    ThreadPool pool(args.jobs == 0 ? 0 : args.jobs);
-    std::vector<std::future<void>> futs;
-    futs.reserve(algos.size() * args.trials);
-    for (const auto algo : algos) {
-      for (std::uint32_t trial = 0; trial < args.trials; ++trial) {
-        futs.push_back(pool.submit([&, algo, trial] {
-          harness::RunOptions trial_opts = opts;
-          trial_opts.seed_salt ^= harness::trial_seed_salt(trial);
-          auto res = harness::run_experiment(world, algo, trial_opts);
-          std::cerr << "[bench] " << harness::topology_name(topo) << " / "
-                    << res.algo << " trial " << trial << " done in "
-                    << TextTable::num(res.wall_seconds, 1) << " s\n";
-          std::lock_guard lock(mu);
-          cells.push_back(Cell{topo, algo, trial, std::move(res)});
-        }));
-      }
-    }
-    for (auto& f : futs) f.get();
-  }
-  return cells;
-}
-
-/// Orders cells for printing: topology-major, algorithm order as
-/// requested, then trial index.
-inline void sort_cells(std::vector<Cell>& cells,
-                       const std::vector<harness::AlgoKind>& algos) {
-  auto algo_rank = [&](harness::AlgoKind k) {
-    for (std::size_t i = 0; i < algos.size(); ++i) {
-      if (algos[i] == k) return i;
-    }
-    return algos.size();
-  };
-  std::sort(cells.begin(), cells.end(), [&](const Cell& a, const Cell& b) {
-    if (a.topology != b.topology) {
-      return static_cast<int>(a.topology) < static_cast<int>(b.topology);
-    }
-    if (algo_rank(a.algo) != algo_rank(b.algo)) {
-      return algo_rank(a.algo) < algo_rank(b.algo);
-    }
-    return a.trial < b.trial;
-  });
-}
-
-inline const std::vector<harness::AlgoKind>& all_algos() {
-  static const std::vector<harness::AlgoKind> algos(
-      std::begin(harness::kAllAlgos), std::end(harness::kAllAlgos));
-  return algos;
+/// The (topology × algorithm × trial) sweep a figure bench runs: the
+/// requested topologies in the given order, one "none" fault scenario,
+/// and by default the paper's six systems.
+inline harness::MatrixSpec matrix_spec(
+    const BenchArgs& args,
+    std::vector<harness::AlgoKind> algos = {std::begin(harness::kAllAlgos),
+                                            std::end(harness::kAllAlgos)}) {
+  harness::MatrixSpec spec;
+  spec.preset = args.preset;
+  spec.topologies = args.topologies;
+  spec.algos = std::move(algos);
+  spec.seed = args.seed;
+  spec.trials = args.trials;
+  spec.jobs = args.jobs;
+  spec.queries = args.queries_override;
+  spec.verbose = true;
+  return spec;
 }
 
 }  // namespace asap::bench

@@ -1,5 +1,5 @@
 // Minimal fixed-size thread pool for running independent experiment cells
-// and embarrassingly-parallel preprocessing (e.g. per-domain APSP).
+// (harness::run_matrix).
 //
 // Each simulation cell is deterministic and single-threaded; the pool only
 // parallelizes *across* cells, so no shared mutable state crosses tasks.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/error.hpp"
+
 namespace asap::harness {
 
 const char* topology_name(TopologyKind t) {
@@ -17,11 +19,33 @@ const char* topology_name(TopologyKind t) {
 }
 
 std::optional<TopologyKind> topology_from_name(std::string_view name) {
-  for (const auto t : {TopologyKind::kRandom, TopologyKind::kPowerlaw,
-                       TopologyKind::kCrawled}) {
+  for (const auto t : kAllTopologies) {
     if (name == topology_name(t)) return t;
   }
   return std::nullopt;
+}
+
+std::vector<TopologyKind> topologies_from_list(std::string_view list) {
+  if (list == "all") {
+    return {std::begin(kAllTopologies), std::end(kAllTopologies)};
+  }
+  std::vector<TopologyKind> out;
+  for (const auto& item : split_list(list)) {
+    const auto topo = topology_from_name(item);
+    if (!topo) throw ConfigError("unknown topology: " + item);
+    out.push_back(*topo);
+  }
+  return out;
+}
+
+std::vector<std::string> split_list(std::string_view list) {
+  std::vector<std::string> out;
+  while (true) {
+    const auto comma = list.find(',');
+    out.emplace_back(list.substr(0, comma));
+    if (comma == std::string_view::npos) return out;
+    list.remove_prefix(comma + 1);
+  }
 }
 
 const char* preset_name(Preset p) {

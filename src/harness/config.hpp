@@ -13,6 +13,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "faults/fault_config.hpp"
 #include "net/transit_stub.hpp"
@@ -26,9 +27,20 @@ enum class Preset : std::uint8_t { kSmall, kPaper };
 
 enum class TopologyKind : std::uint8_t { kRandom, kPowerlaw, kCrawled };
 
+/// The paper's three overlay topologies (§IV-A), in report order.
+inline constexpr TopologyKind kAllTopologies[] = {
+    TopologyKind::kRandom, TopologyKind::kPowerlaw, TopologyKind::kCrawled};
+
 const char* topology_name(TopologyKind t);
 /// Inverse of topology_name(); nullopt for unknown names.
 std::optional<TopologyKind> topology_from_name(std::string_view name);
+/// Parses a comma-separated topology list ("crawled,random") in the given
+/// order; "all" names kAllTopologies. Throws ConfigError on an unknown
+/// name.
+std::vector<TopologyKind> topologies_from_list(std::string_view list);
+
+/// Splits a command-line list at its commas ("a,b" -> {"a", "b"}).
+std::vector<std::string> split_list(std::string_view list);
 
 const char* preset_name(Preset p);
 /// Inverse of preset_name(); nullopt for unknown names.

@@ -73,26 +73,21 @@ std::vector<std::pair<std::string, double>> headline_metrics(
     if (r.faults.adversarial) {
       // Adversary/defense metrics: gated on the adversarial flag (not on
       // `enabled`) so churn-only fault artifacts keep their metric set.
-      out.emplace_back("polluted_ads",
-                       static_cast<double>(r.faults.polluted_ads));
+      out.emplace_back("polluted_ads", static_cast<double>(c.polluted_ads));
       out.emplace_back("forced_negatives",
-                       static_cast<double>(r.faults.forced_negatives));
+                       static_cast<double>(c.forced_negatives));
       out.emplace_back("dropped_confirms",
-                       static_cast<double>(r.faults.dropped_confirms));
+                       static_cast<double>(c.dropped_confirms));
       out.emplace_back("storm_queries",
                        static_cast<double>(r.faults.storm_queries));
       out.emplace_back("trust_strikes",
-                       static_cast<double>(r.faults.trust_strikes));
-      out.emplace_back("quarantines",
-                       static_cast<double>(r.faults.quarantines));
-      out.emplace_back("readmissions",
-                       static_cast<double>(r.faults.readmissions));
-      out.emplace_back("queries_shed",
-                       static_cast<double>(r.faults.queries_shed));
-      out.emplace_back("ttl_clamped",
-                       static_cast<double>(r.faults.ttl_clamped));
+                       static_cast<double>(c.trust_strikes));
+      out.emplace_back("quarantines", static_cast<double>(c.quarantines));
+      out.emplace_back("readmissions", static_cast<double>(c.readmissions));
+      out.emplace_back("queries_shed", static_cast<double>(c.queries_shed));
+      out.emplace_back("ttl_clamped", static_cast<double>(c.ttl_clamped));
       out.emplace_back("peak_pending_depth",
-                       static_cast<double>(r.faults.peak_pending_depth));
+                       static_cast<double>(c.peak_pending_depth));
     }
   }
   if (r.asap_counters.ad_rounds > 0) {
@@ -111,8 +106,6 @@ MatrixResult run_matrix(const MatrixSpec& spec) {
   ASAP_REQUIRE(!spec.algos.empty(), "matrix: no algorithms");
   ASAP_REQUIRE(!spec.fault_scenarios.empty(), "matrix: no fault scenarios");
   ASAP_REQUIRE(spec.trials >= 1, "matrix: trials must be >= 1");
-  ASAP_REQUIRE(spec.options.seed_salt == 0,
-               "matrix: seed_salt is derived per trial; set MatrixSpec::seed");
   ASAP_REQUIRE(spec.options.observer == nullptr ||
                    (spec.topologies.size() == 1 && spec.algos.size() == 1 &&
                     spec.fault_scenarios.size() == 1 && spec.trials == 1),
@@ -158,14 +151,17 @@ MatrixResult run_matrix(const MatrixSpec& spec) {
   pool.parallel_for(num_worlds, [&](std::size_t w) {
     const TopologyKind topo = spec.topologies[w / trials];
     const std::size_t trial = w % trials;
+    const ExperimentConfig cfg = config_of(topo, trial);
     obs::PhaseProfiler prof;
     prof.begin("world-build");
-    worlds[w] = std::make_unique<const World>(
-        build_world(config_of(topo, trial)));
+    worlds[w] = std::make_unique<const World>(build_world(cfg));
     prof.end();
     world_profiles[w] = prof.phases().front();
     progress("[matrix] built " + std::string(topology_name(topo)) +
-             " world, trial " + std::to_string(trial));
+             " world, trial " + std::to_string(trial) + " (" +
+             std::to_string(cfg.content.initial_nodes) + " peers, " +
+             std::to_string(cfg.trace.num_queries) + " queries" +
+             (cfg.stream_trace ? ", streaming trace)" : ")"));
   });
 
   // Slot layout fixes the canonical order (topology, scenario, algorithm,
@@ -344,22 +340,22 @@ json::Value results_to_json(const MatrixResult& result) {
         fs.emplace_back("storms", static_cast<double>(f.storms));
         fs.emplace_back("storm_queries",
                         static_cast<double>(f.storm_queries));
-        fs.emplace_back("polluted_ads",
-                        static_cast<double>(f.polluted_ads));
+        const auto& c = run.result.asap_counters;
+        fs.emplace_back("polluted_ads", static_cast<double>(c.polluted_ads));
         fs.emplace_back("forced_negatives",
-                        static_cast<double>(f.forced_negatives));
+                        static_cast<double>(c.forced_negatives));
         fs.emplace_back("dropped_confirms",
-                        static_cast<double>(f.dropped_confirms));
+                        static_cast<double>(c.dropped_confirms));
         fs.emplace_back("trust_strikes",
-                        static_cast<double>(f.trust_strikes));
-        fs.emplace_back("quarantines", static_cast<double>(f.quarantines));
+                        static_cast<double>(c.trust_strikes));
+        fs.emplace_back("quarantines", static_cast<double>(c.quarantines));
         fs.emplace_back("readmissions",
-                        static_cast<double>(f.readmissions));
+                        static_cast<double>(c.readmissions));
         fs.emplace_back("queries_shed",
-                        static_cast<double>(f.queries_shed));
-        fs.emplace_back("ttl_clamped", static_cast<double>(f.ttl_clamped));
+                        static_cast<double>(c.queries_shed));
+        fs.emplace_back("ttl_clamped", static_cast<double>(c.ttl_clamped));
         fs.emplace_back("peak_pending_depth",
-                        static_cast<double>(f.peak_pending_depth));
+                        static_cast<double>(c.peak_pending_depth));
       }
       r.emplace_back("fault_summary", std::move(fs));
     }

@@ -1,10 +1,10 @@
-// Parallel experiment-matrix runner.
+// Parallel experiment-matrix runner: the one experiment driver.
 //
-// Fans an (algorithm × topology × trial) matrix out across a ThreadPool.
-// Every figure in the paper (§IV–V) is such a sweep; replaying it
-// sequentially gates paper-scale reproduction on one core, while each cell
-// is already a deterministic, single-threaded simulation — embarrassingly
-// parallel by construction.
+// Fans a (topology × fault scenario × algorithm × trial) matrix out across
+// a ThreadPool. Every figure in the paper (§IV–V) is such a sweep, and
+// asap_sim and the figure benches run every sweep through run_matrix.
+// Each cell is a deterministic, single-threaded simulation, so the matrix
+// is embarrassingly parallel by construction.
 //
 // Determinism contract: results are bit-identical for jobs=1 and jobs=N.
 // Three properties make that hold and are locked down by tests:
@@ -68,8 +68,7 @@ struct MatrixSpec {
   /// `off` strips trust *and* overload protection, the defense-off control
   /// arm of the adversarial golden.
   std::optional<bool> trust;
-  /// Options applied to every cell (audit, message_loss, seed_salt is
-  /// reserved for the runner and must stay 0).
+  /// Options applied to every cell (audit, message_loss, observer).
   RunOptions options;
   /// Per-algorithm options override; when set it wins over `options`.
   /// Used by the CLI to apply protocol-knob overrides per ASAP scheme.

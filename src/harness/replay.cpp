@@ -130,7 +130,7 @@ RunResult run_experiment(const World& world, AlgoKind kind,
   sim::BandwidthLedger ledger(horizon);
   // The algorithm's randomness and the world's churn randomness are kept
   // in separate streams so every algorithm sees identical churn.
-  Rng algo_rng(cfg.seed ^ 0x517CC1B727220A95ULL ^ opts.seed_salt);
+  Rng algo_rng(cfg.seed ^ 0x517CC1B727220A95ULL);
   Rng churn_rng(cfg.seed ^ 0x2545F4914F6CDD1DULL);
 
   search::Ctx ctx{ov,     world.phys, world.node_phys, world.model, live,
@@ -157,8 +157,8 @@ RunResult run_experiment(const World& world, AlgoKind kind,
   }
 
   // Fault layer: the plan derives from the world seed alone (same schedule
-  // for every algorithm); the injector's own verdict RNG is salted per
-  // trial like the algorithm stream. Without an explicit opts.faults and
+  // for every algorithm), and so does the injector's own verdict RNG, in a
+  // stream of its own. Without an explicit opts.faults and
   // with an all-zero cfg.faults, nothing is built and the run is
   // bit-identical to the historical harness.
   const bool faults_on = opts.faults.has_value() || cfg.faults.any();
@@ -181,7 +181,7 @@ RunResult run_experiment(const World& world, AlgoKind kind,
                   world.trace.events, warmup, warmup + world.trace.horizon,
                   world.phys.params().total_stub_domains()));
     injector = std::make_unique<faults::FaultInjector>(
-        *plan, world.phys, cfg.seed ^ 0x9E3779B97F4A7C15ULL ^ opts.seed_salt);
+        *plan, world.phys, cfg.seed ^ 0x9E3779B97F4A7C15ULL);
     ctx.faults = injector.get();
   }
 
@@ -380,16 +380,6 @@ RunResult run_experiment(const World& world, AlgoKind kind,
       res.faults.confirm_droppers = plan->confirm_droppers().size();
       res.faults.storms = plan->storms().size();
       res.faults.storm_queries = rep.storm_queries;
-      const auto& ac = res.asap_counters;  // zero-initialized for baselines
-      res.faults.polluted_ads = ac.polluted_ads;
-      res.faults.forced_negatives = ac.forced_negatives;
-      res.faults.dropped_confirms = ac.dropped_confirms;
-      res.faults.trust_strikes = ac.trust_strikes;
-      res.faults.quarantines = ac.quarantines;
-      res.faults.readmissions = ac.readmissions;
-      res.faults.queries_shed = ac.queries_shed;
-      res.faults.ttl_clamped = ac.ttl_clamped;
-      res.faults.peak_pending_depth = ac.peak_pending_depth;
     }
   }
   if (opts.observer != nullptr) opts.observer->finalize(horizon);

@@ -57,19 +57,15 @@ const char* algo_name(AlgoKind k);
 std::optional<AlgoKind> algo_from_name(std::string_view name);
 bool is_asap(AlgoKind k);
 
-/// Canonical seed derivation for "trial k of master seed s" — the single
-/// definition shared by the matrix runner and the repeated-trial benches:
+/// The one derivation of "trial k of master seed s", used by run_matrix
+/// and so by asap_sim and the figure benches:
 ///
-///   effective seed of trial k  =  s ^ trial_seed_salt(k)
+///   world seed of trial k  =  s ^ trial_seed_salt(k)
 ///
-/// trial_seed_salt(0) == 0, so trial 0 is exactly the unsalted run (its
-/// digest matches a plain run_experiment/asap_sim invocation with seed s);
-/// later trials mix splitmix64(k) so neighbouring indices land in
-/// uncorrelated streams. Benches that hold one World fixed and re-roll
-/// only the algorithm's randomness pass the salt via RunOptions::seed_salt;
-/// the matrix runner applies it to ExperimentConfig::seed instead, which
-/// re-derives the whole world *and* the algorithm stream from the trial
-/// seed.
+/// The world seed re-derives the whole world and, from it, the algorithm,
+/// churn and fault streams. trial_seed_salt(0) == 0, so trial 0 is the
+/// run with seed s itself; later trials mix splitmix64(k) so neighbouring
+/// indices land in uncorrelated streams.
 std::uint64_t trial_seed_salt(std::uint32_t trial);
 
 /// Traffic categories that count toward system load for this algorithm
@@ -81,10 +77,6 @@ struct RunOptions {
   /// Override the preset-derived parameters (ablation benches).
   std::optional<search::BaselineParams> baseline;
   std::optional<ads::AsapParams> asap;
-  /// Extra salt mixed into the run RNG. Repeated-trial benches set this to
-  /// trial_seed_salt(k) so "trial k" means the same thing everywhere (see
-  /// trial_seed_salt above); 0 leaves the canonical stream untouched.
-  std::uint64_t seed_salt = 0;
   /// Failure injection: probability any overlay transmission is lost, in
   /// [0, 1]. 1.0 is a valid (total-blackout) setting: senders still pay
   /// for every attempt, so runs terminate and audit clean.
@@ -124,7 +116,8 @@ struct FaultSummary {
   std::uint64_t successes_after_onset = 0;
   double success_rate_after_onset = 0.0;
   /// True when the fault config armed adversarial roles / storms or any
-  /// defense knob — gates the adversary/defense result fields so legacy
+  /// defense knob — gates the adversary/defense result fields (the impact
+  /// and defense counts live in RunResult::asap_counters) so legacy
   /// (churn-only) fault runs keep their exact metric set.
   bool adversarial = false;
   /// Seeded Byzantine roster sizes (from the plan).
@@ -134,17 +127,6 @@ struct FaultSummary {
   /// Flash-crowd schedule: windows planned and synthetic queries injected.
   std::uint64_t storms = 0;
   std::uint64_t storm_queries = 0;
-  /// Adversary impact counters (from the protocol).
-  std::uint64_t polluted_ads = 0;
-  std::uint64_t forced_negatives = 0;
-  std::uint64_t dropped_confirms = 0;
-  /// Defense counters (zero when trust / overload protection are off).
-  std::uint64_t trust_strikes = 0;
-  std::uint64_t quarantines = 0;
-  std::uint64_t readmissions = 0;
-  std::uint64_t queries_shed = 0;
-  std::uint64_t ttl_clamped = 0;
-  std::uint64_t peak_pending_depth = 0;
 };
 
 struct RunResult {

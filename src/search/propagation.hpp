@@ -14,9 +14,11 @@
 // are idempotent for all callers).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -135,14 +137,16 @@ PropagationStats flood(Ctx& ctx, NodeId origin, Seconds start,
   return stats;
 }
 
-/// `walkers` independent random walks of at most `per_walker_budget` hops
-/// each. A walker moves to a uniformly random online neighbor, avoiding an
-/// immediate backtrack when any other choice exists.
-template <typename VisitFn>
-PropagationStats random_walk(Ctx& ctx, NodeId origin, Seconds start,
-                             std::uint32_t walkers,
-                             std::uint64_t per_walker_budget, Bytes msg_size,
-                             sim::Traffic cat, VisitFn&& visit) {
+/// `walkers` independent walks of at most `per_walker_budget` hops each:
+/// the one hop loop behind random_walk and biased_walk. A walker's
+/// choices are its online (or crashed-but-undetected) neighbors other than
+/// the one it just came from; a dead end falls back to that backtrack.
+/// `pick(choices)` returns the index of the next hop.
+template <typename PickFn, typename VisitFn>
+PropagationStats walk(Ctx& ctx, NodeId origin, Seconds start,
+                      std::uint32_t walkers, std::uint64_t per_walker_budget,
+                      Bytes msg_size, sim::Traffic cat, PickFn&& pick,
+                      VisitFn&& visit) {
   PropagationStats stats;
   if (per_walker_budget == 0 || !ctx.online(origin)) return stats;
   std::vector<NodeId> choices;
@@ -166,7 +170,7 @@ PropagationStats random_walk(Ctx& ctx, NodeId origin, Seconds start,
           break;
         }
       }
-      const NodeId next = choices[ctx.rng.below(choices.size())];
+      const NodeId next = choices[pick(std::span<const NodeId>(choices))];
       t += ctx.hop_latency(cur, next);
       ++stats.messages;
       stats.bytes += msg_size;
@@ -195,85 +199,50 @@ PropagationStats random_walk(Ctx& ctx, NodeId origin, Seconds start,
   return stats;
 }
 
+/// Random walks: each hop goes to a uniformly random choice, so a walker
+/// avoids an immediate backtrack whenever any other neighbor is up.
+template <typename VisitFn>
+PropagationStats random_walk(Ctx& ctx, NodeId origin, Seconds start,
+                             std::uint32_t walkers,
+                             std::uint64_t per_walker_budget, Bytes msg_size,
+                             sim::Traffic cat, VisitFn&& visit) {
+  return walk(
+      ctx, origin, start, walkers, per_walker_budget, msg_size, cat,
+      [&ctx](std::span<const NodeId> choices) {
+        return ctx.rng.below(choices.size());
+      },
+      std::forward<VisitFn>(visit));
+}
+
 /// Weighted random walks: like random_walk, but the next hop is drawn
-/// with probability proportional to `weight(node)` among online
-/// non-backtracking neighbors. Used by the interest-biased ad-delivery
-/// extension (walkers steer toward peers whose interests overlap the ad's
-/// topics, exploiting the interest clustering the paper's design leans
-/// on). A uniform weight reduces to random_walk.
+/// with probability proportional to `weight(node)` among the choices.
+/// Used by the interest-biased ad-delivery extension (walkers steer toward
+/// peers whose interests overlap the ad's topics, exploiting the interest
+/// clustering the paper's design leans on). A uniform weight reduces to
+/// random_walk's distribution.
 template <typename VisitFn, typename WeightFn>
 PropagationStats biased_walk(Ctx& ctx, NodeId origin, Seconds start,
                              std::uint32_t walkers,
                              std::uint64_t per_walker_budget, Bytes msg_size,
                              sim::Traffic cat, WeightFn&& weight,
                              VisitFn&& visit) {
-  PropagationStats stats;
-  if (per_walker_budget == 0 || !ctx.online(origin)) return stats;
-  std::vector<NodeId> choices;
   std::vector<double> weights;
-  for (std::uint32_t w = 0; w < walkers; ++w) {
-    NodeId cur = origin;
-    NodeId prev = kInvalidNode;
-    Seconds t = start;
-    for (std::uint64_t hop = 1; hop <= per_walker_budget; ++hop) {
-      choices.clear();
-      weights.clear();
-      double total = 0.0;
-      for (NodeId nb : ctx.graph().neighbors(cur)) {
-        if ((!ctx.online(nb) && !ctx.dead_unnoticed(nb, t)) || nb == prev) {
-          continue;
-        }
-        const double wgt = std::max(1e-9, weight(nb));
-        choices.push_back(nb);
-        weights.push_back(wgt);
-        total += wgt;
-      }
-      if (choices.empty()) {
-        if (prev != kInvalidNode &&
-            (ctx.online(prev) || ctx.dead_unnoticed(prev, t))) {
-          choices.push_back(prev);
-          weights.push_back(1.0);
-          total = 1.0;
-        } else {
-          break;
-        }
-      }
-      double u = ctx.rng.uniform01() * total;
-      std::size_t pick = choices.size() - 1;
-      for (std::size_t i = 0; i < weights.size(); ++i) {
-        u -= weights[i];
-        if (u <= 0.0) {
-          pick = i;
-          break;
-        }
-      }
-      const NodeId next = choices[pick];
-      t += ctx.hop_latency(cur, next);
-      ++stats.messages;
-      stats.bytes += msg_size;
-      ASAP_AUDIT_HOOK(ctx.auditor, on_send(cat, msg_size));
-      ctx.ledger.deposit(t, cat, msg_size);
-      if (!ctx.online(next)) {  // crashed but undetected: hop paid for,
-                                // nothing there; walker stays and retries
-        ASAP_OBS_HOOK(ctx.obs, on_drop_dead(cat));
-        ctx.faults->count_dead_send();
-        continue;
-      }
-      if (ctx.transmission_lost(cur, next, t)) {  // hop lost: budget spent,
-                                                  // walker stays and retries
-        ASAP_OBS_HOOK(ctx.obs, on_drop_loss(cat));
-        continue;
-      }
-      ASAP_AUDIT_HOOK(ctx.auditor, on_delivery(ctx.online(next)));
-      const VisitAction action =
-          visit(next, t, static_cast<std::uint32_t>(hop));
-      if (action == VisitAction::kStopAll) return stats;
-      if (action == VisitAction::kStopWalker) break;
-      prev = cur;
-      cur = next;
+  auto pick = [&](std::span<const NodeId> choices) {
+    weights.clear();
+    double total = 0.0;
+    for (const NodeId nb : choices) {
+      weights.push_back(std::max(1e-9, weight(nb)));
+      total += weights.back();
     }
-  }
-  return stats;
+    double u = ctx.rng.uniform01() * total;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      u -= weights[i];
+      if (u <= 0.0) return i;
+    }
+    return weights.size() - 1;
+  };
+  return walk(ctx, origin, start, walkers, per_walker_budget, msg_size, cat,
+              pick, std::forward<VisitFn>(visit));
 }
 
 /// GSA: the generalized budgeted search of Gkantsidis et al. [12] — a

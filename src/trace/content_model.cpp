@@ -44,23 +44,22 @@ std::vector<TopicId> pick_classes(std::uint32_t count, Rng& rng) {
 
 }  // namespace
 
-void ContentModel::ensure_popular_sampler(TopicId cls) const {
+void ContentModel::ensure_popular_sampler() const {
   // All class pools share one size, so one sampler serves them all.
   if (!popular_sampler_) {
     popular_sampler_ = std::make_unique<ZipfDraw>(
-        static_cast<std::uint32_t>(class_pools_[cls].size()),
-        params_.popular_term_alpha);
+        params_.popular_terms_per_class, params_.popular_term_alpha);
   }
 }
 
 std::vector<KeywordId> ContentModel::make_keywords(TopicId cls, Rng& rng) {
   // 1-2 popular class terms (Zipf-weighted) + 2-5 globally unique terms.
-  ensure_popular_sampler(cls);
+  ensure_popular_sampler();
   std::vector<KeywordId> kws;
   const auto popular = 1 + static_cast<std::uint32_t>(rng.below(2));
   for (std::uint32_t i = 0; i < popular; ++i) {
     const auto rank = popular_sampler_->sample(rng) - 1;
-    const KeywordId kw = class_pools_[cls][rank];
+    const KeywordId kw = cls * params_.popular_terms_per_class + rank;
     if (std::find(kws.begin(), kws.end(), kw) == kws.end()) kws.push_back(kw);
   }
   const auto unique = 2 + static_cast<std::uint32_t>(rng.below(4));
@@ -77,7 +76,7 @@ DocId ContentModel::mint_document(TopicId cls, Rng& rng) {
 
 void ContentModel::replay_mint_draws(TopicId cls, Rng& rng) const {
   ASAP_REQUIRE(cls < kNumClasses, "class id out of range");
-  ensure_popular_sampler(cls);
+  ensure_popular_sampler();
   // Mirror make_keywords draw for draw: the popular-count uniform, one
   // sampler draw per popular term (dedup inspects only already-drawn
   // values), and the unique-count uniform (unique terms take fresh ids,
@@ -105,12 +104,9 @@ ContentModel ContentModel::build(const ContentModelParams& params, Rng& rng) {
   m.joiner_docs_.resize(params.joiner_nodes);
   m.interests_.resize(total);
 
-  // Keyword pools: one per class, sequential ids.
-  m.class_pools_.resize(kNumClasses);
-  for (auto& pool : m.class_pools_) {
-    pool.resize(params.popular_terms_per_class);
-    for (auto& kw : pool) kw = m.next_keyword_++;
-  }
+  // Keyword pools: class c's popular terms are the sequential ids
+  // [c * popular_terms_per_class, (c + 1) * popular_terms_per_class).
+  m.next_keyword_ = kNumClasses * params.popular_terms_per_class;
 
   // --- interests & per-node document budget ----------------------------
   std::vector<std::uint32_t> need(total, 0);

@@ -116,8 +116,8 @@ class ContentModel {
   std::vector<std::vector<DocId>> initial_docs_;
   std::vector<std::vector<DocId>> joiner_docs_;  // indexed by slot - initial
   std::vector<std::vector<TopicId>> interests_;
-  // Keyword machinery (shared with mint_document).
-  std::vector<std::vector<KeywordId>> class_pools_;
+  // Keyword machinery (shared with mint_document). Class c's popular pool
+  // is the id range starting at c * popular_terms_per_class.
   // Lazily created on the first mint (or mint replay — hence mutable):
   // creation consumes no RNG draws, so build and replay paths may each
   // create it on demand without perturbing the stream. ZipfDraw keeps the
@@ -126,7 +126,7 @@ class ContentModel {
   mutable std::unique_ptr<ZipfDraw> popular_sampler_;
   KeywordId next_keyword_ = 0;
 
-  void ensure_popular_sampler(TopicId cls) const;
+  void ensure_popular_sampler() const;
 };
 
 }  // namespace asap::trace

@@ -18,14 +18,33 @@ void put_doc_list(wire::Writer& w, const std::vector<DocId>& docs) {
   for (const DocId d : docs) w.varint(d);
 }
 
-std::vector<DocId> get_doc_list(wire::Reader& r, std::size_t corpus_size) {
+/// A varint that must fit 32 bits: every id and count the format stores
+/// is a 32-bit value, so a wider one is malformed, never truncated.
+std::uint32_t get_u32(wire::Reader& r) {
+  const auto v = r.varint();
+  if (v > UINT32_MAX) throw wire::DecodeError("trace_io: 32-bit range");
+  return static_cast<std::uint32_t>(v);
+}
+
+/// A count of items that each take at least `min_bytes` of the input, so
+/// a count the remaining bytes cannot hold is rejected before anything is
+/// allocated for it.
+std::size_t get_count(wire::Reader& r, std::size_t min_bytes) {
   const auto count = r.varint();
+  if (count > r.remaining() / min_bytes) {
+    throw wire::DecodeError("trace_io: count exceeds the input");
+  }
+  return static_cast<std::size_t>(count);
+}
+
+std::vector<DocId> get_doc_list(wire::Reader& r, std::size_t corpus_size) {
+  const auto count = get_count(r, 1);
   if (count > corpus_size) {
     throw wire::DecodeError("trace_io: doc list longer than corpus");
   }
   std::vector<DocId> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
+  out.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
     const auto d = r.varint();
     if (d >= corpus_size) throw wire::DecodeError("trace_io: doc id range");
     out.push_back(static_cast<DocId>(d));
@@ -79,38 +98,41 @@ ContentModel deserialize_content(std::span<const std::uint8_t> data) {
 
   ContentModel m;
   auto& p = m.params_;
-  p.initial_nodes = static_cast<std::uint32_t>(r.varint());
-  p.joiner_nodes = static_cast<std::uint32_t>(r.varint());
+  p.initial_nodes = get_u32(r);
+  p.joiner_nodes = get_u32(r);
   p.free_rider_fraction = static_cast<double>(r.varint()) / 1e9;
   p.mean_docs_per_sharer = static_cast<double>(r.varint()) / 1e6;
-  p.max_docs_per_node = static_cast<std::uint32_t>(r.varint());
+  p.max_docs_per_node = get_u32(r);
   p.single_copy_fraction = static_cast<double>(r.varint()) / 1e9;
   p.copy_tail_alpha = static_cast<double>(r.varint()) / 1e6;
-  p.copy_tail_max = static_cast<std::uint32_t>(r.varint());
-  p.popular_terms_per_class = static_cast<std::uint32_t>(r.varint());
+  p.copy_tail_max = get_u32(r);
+  p.popular_terms_per_class = get_u32(r);
   p.popular_term_alpha = static_cast<double>(r.varint()) / 1e6;
+  const std::uint64_t total =
+      std::uint64_t{p.initial_nodes} + p.joiner_nodes;
+  if (total > UINT32_MAX) throw wire::DecodeError("trace_io: node count");
 
-  const auto corpus_size = r.varint();
-  if (corpus_size > (1ULL << 31)) {
-    throw wire::DecodeError("trace_io: unreasonable corpus size");
-  }
-  m.corpus_.reserve(static_cast<std::size_t>(corpus_size));
-  for (std::uint64_t i = 0; i < corpus_size; ++i) {
+  // A document takes at least 2 bytes (topic, keyword count).
+  const auto corpus_size = get_count(r, 2);
+  m.corpus_.reserve(corpus_size);
+  for (std::size_t i = 0; i < corpus_size; ++i) {
     Document doc;
     doc.topic = r.u8();
     if (doc.topic >= kNumClasses) {
       throw wire::DecodeError("trace_io: topic out of range");
     }
-    const auto kws = r.varint();
+    const auto kws = get_count(r, 1);
     if (kws > 64) throw wire::DecodeError("trace_io: keyword count");
-    doc.keywords.reserve(static_cast<std::size_t>(kws));
-    for (std::uint64_t k = 0; k < kws; ++k) {
-      doc.keywords.push_back(static_cast<KeywordId>(r.varint()));
-    }
+    doc.keywords.reserve(kws);
+    for (std::size_t k = 0; k < kws; ++k) doc.keywords.push_back(get_u32(r));
     m.corpus_.push_back(std::move(doc));
   }
 
-  const auto total = p.initial_nodes + p.joiner_nodes;
+  // Every node slot has a doc list and an interest list, every joiner
+  // slot a second doc list, and each list takes at least one byte.
+  if (2 * total + p.joiner_nodes > r.remaining()) {
+    throw wire::DecodeError("trace_io: node count exceeds the input");
+  }
   m.initial_docs_.resize(total);
   for (auto& docs : m.initial_docs_) {
     docs = get_doc_list(r, m.corpus_.size());
@@ -121,26 +143,32 @@ ContentModel deserialize_content(std::span<const std::uint8_t> data) {
   }
   m.interests_.resize(total);
   for (auto& ints : m.interests_) {
-    const auto count = r.varint();
+    const auto count = get_count(r, 1);
     if (count > kNumClasses) {
       throw wire::DecodeError("trace_io: interest count");
     }
-    ints.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
+    ints.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
       const auto t = r.u8();
       if (t >= kNumClasses) throw wire::DecodeError("trace_io: interest id");
       ints.push_back(t);
     }
   }
-  m.next_keyword_ = static_cast<KeywordId>(r.varint());
+  m.next_keyword_ = get_u32(r);
   if (!r.done()) throw wire::DecodeError("trace_io: trailing bytes");
 
-  // Rebuild the (deterministic) per-class keyword pools.
-  m.class_pools_.resize(kNumClasses);
-  KeywordId next = 0;
-  for (auto& pool : m.class_pools_) {
-    pool.resize(p.popular_terms_per_class);
-    for (auto& kw : pool) kw = next++;
+  // Keyword ids are minted in order: the class pools first, then each
+  // document's unique terms, so every id lies below next_keyword_.
+  if (std::uint64_t{kNumClasses} * p.popular_terms_per_class >
+      m.next_keyword_) {
+    throw wire::DecodeError("trace_io: keyword pools exceed the id range");
+  }
+  for (const auto& doc : m.corpus_) {
+    for (const KeywordId kw : doc.keywords) {
+      if (kw >= m.next_keyword_) {
+        throw wire::DecodeError("trace_io: keyword id range");
+      }
+    }
   }
   return m;
 }
@@ -180,18 +208,16 @@ Trace deserialize_trace(std::span<const std::uint8_t> data) {
     throw wire::DecodeError("trace_io: unsupported trace format version");
   }
   Trace t;
-  t.num_queries = static_cast<std::uint32_t>(r.varint());
-  t.num_changes = static_cast<std::uint32_t>(r.varint());
-  t.num_joins = static_cast<std::uint32_t>(r.varint());
-  t.num_leaves = static_cast<std::uint32_t>(r.varint());
-  t.num_rejoins = static_cast<std::uint32_t>(r.varint());
-  const auto count = r.varint();
-  if (count > (1ULL << 31)) {
-    throw wire::DecodeError("trace_io: unreasonable event count");
-  }
-  t.events.reserve(static_cast<std::size_t>(count));
+  t.num_queries = get_u32(r);
+  t.num_changes = get_u32(r);
+  t.num_joins = get_u32(r);
+  t.num_leaves = get_u32(r);
+  t.num_rejoins = get_u32(r);
+  // An event takes at least 5 bytes (time, type, node, doc, term count).
+  const auto count = get_count(r, 5);
+  t.events.reserve(count);
   std::uint64_t prev_us = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     TraceEvent ev;
     prev_us += r.varint();
     ev.time = static_cast<Seconds>(prev_us) / 1e6;
@@ -200,17 +226,14 @@ Trace deserialize_trace(std::span<const std::uint8_t> data) {
       throw wire::DecodeError("trace_io: bad event type");
     }
     ev.type = static_cast<TraceEventType>(type);
-    ev.node = static_cast<NodeId>(r.varint());
-    const auto doc_plus1 = r.varint();
-    ev.doc = doc_plus1 == 0 ? kInvalidDoc
-                            : static_cast<DocId>(doc_plus1 - 1);
+    ev.node = get_u32(r);
+    const DocId doc_plus1 = get_u32(r);
+    ev.doc = doc_plus1 == 0 ? kInvalidDoc : doc_plus1 - 1;
     ev.num_terms = r.u8();
     if (ev.num_terms > ev.terms.size()) {
       throw wire::DecodeError("trace_io: term count");
     }
-    for (std::uint8_t k = 0; k < ev.num_terms; ++k) {
-      ev.terms[k] = static_cast<KeywordId>(r.varint());
-    }
+    for (std::uint8_t k = 0; k < ev.num_terms; ++k) ev.terms[k] = get_u32(r);
     t.events.push_back(ev);
   }
   if (!r.done()) throw wire::DecodeError("trace_io: trailing bytes");
@@ -239,15 +262,30 @@ void save_bundle(const std::string& path, const ContentModel& model,
 TraceBundle load_bundle(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   ASAP_REQUIRE(in.good(), "cannot open bundle file: " + path);
-  std::vector<std::uint8_t> data((std::istreambuf_iterator<char>(in)),
-                                 std::istreambuf_iterator<char>());
+  const std::vector<std::uint8_t> data(
+      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  return decode_bundle(data);
+}
+
+TraceBundle decode_bundle(std::span<const std::uint8_t> data) {
   wire::Reader r(data);
   const auto content_size = r.varint();
   const auto trace_size = r.varint();
   const auto content = r.bytes(static_cast<std::size_t>(content_size));
   const auto tr = r.bytes(static_cast<std::size_t>(trace_size));
   if (!r.done()) throw wire::DecodeError("trace_io: trailing bundle bytes");
-  return TraceBundle{deserialize_content(content), deserialize_trace(tr)};
+  TraceBundle bundle{deserialize_content(content), deserialize_trace(tr)};
+  // The replay indexes per-node and per-document state with these ids
+  // unchecked, so an event must name a slot and a document of the model.
+  for (const TraceEvent& ev : bundle.trace.events) {
+    if (ev.node >= bundle.model.total_node_slots()) {
+      throw wire::DecodeError("trace_io: event node outside the model");
+    }
+    if (ev.doc != kInvalidDoc && ev.doc >= bundle.model.num_docs()) {
+      throw wire::DecodeError("trace_io: event document outside the corpus");
+    }
+  }
+  return bundle;
 }
 
 }  // namespace asap::trace

@@ -26,7 +26,8 @@ std::vector<std::uint8_t> serialize_trace(const Trace& trace);
 Trace deserialize_trace(std::span<const std::uint8_t> data);
 
 /// File round trips (throw ConfigError on I/O failure, wire::DecodeError
-/// on malformed content).
+/// on malformed content, including a count larger than the bytes left to
+/// hold it, or an event whose node or document the model does not have).
 void save_bundle(const std::string& path, const ContentModel& model,
                  const Trace& trace);
 struct TraceBundle {
@@ -34,5 +35,7 @@ struct TraceBundle {
   Trace trace;
 };
 TraceBundle load_bundle(const std::string& path);
+/// load_bundle on the bytes of a bundle file.
+TraceBundle decode_bundle(std::span<const std::uint8_t> data);
 
 }  // namespace asap::trace

@@ -63,8 +63,8 @@ TEST_F(AdversarialDigestTest, AdversariesActuallyActAndDefensesEngage) {
   EXPECT_GT(res.faults.stale_advertisers, 0u);
   EXPECT_GT(res.faults.confirm_droppers, 0u);
   EXPECT_GT(res.faults.storm_queries, 0u);
-  EXPECT_GT(res.faults.polluted_ads, 0u);
-  EXPECT_GT(res.faults.trust_strikes, 0u);
+  EXPECT_GT(res.asap_counters.polluted_ads, 0u);
+  EXPECT_GT(res.asap_counters.trust_strikes, 0u);
 }
 
 TEST_F(AdversarialDigestTest, ArmedZeroRoleConfigKeepsVanillaDigest) {

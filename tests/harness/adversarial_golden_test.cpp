@@ -15,20 +15,17 @@
 //
 // When a change is intentional, refresh the baseline and commit it:
 //
-//   build/tools/asap_sim --matrix --preset small --topology crawled
+//   build/tools/asap_sim --preset small --topology crawled
 //     --algo asap-rw --seed 42 --trials 1 --queries 1000
 //     --faults none,polluted-open,polluted,storm-open,storm
 //     --json tests/support/adversarial_small.json
 //   (one command line; wrapped here for width)
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 
-#include "harness/matrix_runner.hpp"
+#include "../support/golden_replay.hpp"
 
 namespace asap::harness {
 namespace {
@@ -37,22 +34,12 @@ constexpr const char* kGoldenPath =
     ASAP_TEST_SUPPORT_DIR "/adversarial_small.json";
 constexpr const char* kRefreshHint =
     "\nIf this change is intentional, refresh the baseline:\n"
-    "  build/tools/asap_sim --matrix --preset small --topology crawled "
+    "  build/tools/asap_sim --preset small --topology crawled "
     "--algo asap-rw --seed 42 --trials 1 --queries 1000 "
     "--faults none,polluted-open,polluted,storm-open,storm --json "
     "tests/support/adversarial_small.json\n";
 
-json::Value load_golden() {
-  std::ifstream in(kGoldenPath);
-  EXPECT_TRUE(in.good()) << "cannot open " << kGoldenPath;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return json::parse(buf.str());
-}
-
-bool near(double a, double b) {
-  return std::abs(a - b) <= 1e-9 * std::max({1.0, std::abs(a), std::abs(b)});
-}
+json::Value load_golden() { return asap::testing::load_results(kGoldenPath); }
 
 /// trial_runs rows keyed by fault-scenario name (one algo, one trial).
 std::map<std::string, const json::Value*> rows_by_scenario(
@@ -71,47 +58,7 @@ double metric(const json::Value& row, const char* name) {
 }
 
 TEST(AdversarialGolden, MatrixMatchesCommittedBaseline) {
-  const json::Value golden = load_golden();
-  ASSERT_EQ(golden.at("schema").as_string(), "asap-matrix-results/1");
-
-  MatrixSpec spec = spec_from_json(golden);
-  const MatrixResult actual = run_matrix(spec);
-
-  const auto& golden_cells = golden.at("cells").as_array();
-  ASSERT_EQ(actual.cells.size(), golden_cells.size())
-      << "cell count drifted from the baseline" << kRefreshHint;
-
-  for (std::size_t i = 0; i < golden_cells.size(); ++i) {
-    const json::Value& want = golden_cells[i];
-    const CellAggregate& got = actual.cells[i];
-    const std::string label = want.at("faults").as_string() + "/" +
-                              want.at("algo").as_string();
-    EXPECT_EQ(algo_name(got.algo), want.at("algo").as_string());
-
-    const auto& want_digests = want.at("digests").as_array();
-    ASSERT_EQ(got.digests.size(), want_digests.size()) << label;
-    for (std::size_t k = 0; k < want_digests.size(); ++k) {
-      EXPECT_EQ(got.digests[k], want_digests[k].u64_hex())
-          << label << " trial " << k << ": run digest drifted (golden "
-          << want_digests[k].as_string() << ", actual "
-          << json::hex_u64(got.digests[k]) << ")" << kRefreshHint;
-    }
-
-    const json::Value& want_metrics = want.at("metrics");
-    for (const auto& [name, summary] : got.metrics) {
-      const json::Value* want_metric = want_metrics.find(name);
-      ASSERT_NE(want_metric, nullptr)
-          << label << ": metric " << name << " missing from baseline"
-          << kRefreshHint;
-      EXPECT_TRUE(near(summary.mean, want_metric->at("mean").as_double()))
-          << label << " " << name << ": golden mean "
-          << want_metric->at("mean").as_double() << ", actual "
-          << summary.mean << kRefreshHint;
-    }
-  }
-
-  EXPECT_EQ(actual.matrix_digest, golden.at("matrix_digest").u64_hex())
-      << "matrix digest drifted" << kRefreshHint;
+  asap::testing::expect_replay_matches(load_golden(), kRefreshHint);
 }
 
 // Acceptance claim 1, checked against the committed artifact so a

@@ -49,11 +49,16 @@ TEST_F(DeterminismTest, DifferentAlgorithmsProduceDifferentDigests) {
   EXPECT_NE(fld.digest, rw.digest);
 }
 
-TEST_F(DeterminismTest, SeedSaltChangesTheDigest) {
-  RunOptions a, b;
-  b.seed_salt = 1;
-  EXPECT_NE(run_experiment(*world_, AlgoKind::kAsapRw, a).digest,
-            run_experiment(*world_, AlgoKind::kAsapRw, b).digest);
+// No golden runs interest-biased ad delivery (AsapParams::interest_bias,
+// search::biased_walk), so this pins its digest: it moves only if a biased
+// walk filters, draws or pays for its hops differently.
+TEST_F(DeterminismTest, InterestBiasedDeliveryDigestIsPinned) {
+  RunOptions opts;
+  opts.asap = default_asap_params(AlgoKind::kAsapRw, Preset::kSmall);
+  opts.asap->interest_bias = 4.0;
+  const auto biased = run_experiment(*world_, AlgoKind::kAsapRw, opts);
+  EXPECT_EQ(biased.digest, 0x2eeb51d9c35daa25ULL);
+  EXPECT_NE(biased.digest, run_experiment(*world_, AlgoKind::kAsapRw).digest);
 }
 
 TEST_F(DeterminismTest, AuditedRunsAreViolationFree) {

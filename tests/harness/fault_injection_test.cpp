@@ -11,11 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <vector>
 
+#include "../support/golden_replay.hpp"
 #include "faults/fault_config.hpp"
 #include "harness/matrix_runner.hpp"
 #include "harness/replay.hpp"
@@ -253,15 +253,24 @@ TEST(FaultMatrix, ScenarioAxisSweepsAndSerializes) {
 }
 
 // tests/support/fault_small.json is a committed fault-scenario run
-// (asap-rw, crawled, churn preset, seed 42). It documents what hardening
-// looks like in results.json and pins the schema: the fault axis, the
-// gated fault metrics, and non-zero retry/eviction counters.
+// (asap-rw, crawled, churn preset, seed 42, 2,000 queries). It documents
+// what hardening looks like in results.json and pins the schema: the fault
+// axis, the gated fault metrics, and non-zero retry/eviction counters. The
+// replay gate below keeps its numbers those of the current simulator.
+constexpr const char* kFaultArtifact =
+    ASAP_TEST_SUPPORT_DIR "/fault_small.json";
+
+TEST(FaultArtifact, CommittedChurnRunReplaysBitIdentically) {
+  asap::testing::expect_replay_matches(
+      asap::testing::load_results(kFaultArtifact),
+      "\nIf this change is intentional, refresh the artifact:\n"
+      "  build/tools/asap_sim --preset small --topology crawled "
+      "--algo asap-rw --seed 42 --trials 1 --queries 2000 --faults churn "
+      "--json tests/support/fault_small.json\n");
+}
+
 TEST(FaultArtifact, CommittedChurnRunHasNonzeroHardeningCounters) {
-  std::ifstream in(ASAP_TEST_SUPPORT_DIR "/fault_small.json");
-  ASSERT_TRUE(in.good()) << "cannot open tests/support/fault_small.json";
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const json::Value doc = json::parse(buf.str());
+  const json::Value doc = asap::testing::load_results(kFaultArtifact);
   ASSERT_EQ(doc.at("schema").as_string(), "asap-matrix-results/1");
 
   const MatrixSpec spec = spec_from_json(doc);

@@ -106,16 +106,6 @@ TEST_F(ReplayTest, DeterministicAcrossRuns) {
                    b.load.mean_bytes_per_node_per_sec);
 }
 
-TEST_F(ReplayTest, SeedSaltPerturbsAlgorithmOnly) {
-  RunOptions opts;
-  opts.seed_salt = 99;
-  const auto a = run_experiment(*world_, AlgoKind::kRandomWalk);
-  const auto b = run_experiment(*world_, AlgoKind::kRandomWalk, opts);
-  // Different walks => different outcomes, same workload size.
-  EXPECT_EQ(a.search.total(), b.search.total());
-  EXPECT_NE(a.search.avg_cost_bytes(), b.search.avg_cost_bytes());
-}
-
 TEST_F(ReplayTest, OverridesAreHonored) {
   RunOptions opts;
   auto p = default_asap_params(AlgoKind::kAsapRw, Preset::kSmall);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 
 #include "common/codec.hpp"
@@ -119,6 +120,131 @@ TEST(TraceIo, MalformedInputThrows) {
                  wire::DecodeError);
   }
   EXPECT_THROW(load_bundle("/nonexistent/path/x.bin"), ConfigError);
+}
+
+/// The 5-byte magic + version header of `serialized`, then one varint per
+/// value.
+std::vector<std::uint8_t> crafted(std::vector<std::uint8_t> serialized,
+                                  std::initializer_list<std::uint64_t> values) {
+  serialized.resize(5);
+  wire::Writer w;
+  for (const auto v : values) w.varint(v);
+  serialized.insert(serialized.end(), w.buffer().begin(), w.buffer().end());
+  return serialized;
+}
+
+// Each buffer names a count far larger than the bytes after it; decoding
+// must reject it before allocating for it.
+TEST(TraceIo, OversizedCountsThrowBeforeAllocating) {
+  Fixture fx;
+  // Five zero counters, then 2^31 events: 15 bytes.
+  const auto events =
+      crafted(serialize_trace(fx.trace), {0, 0, 0, 0, 0, 1ULL << 31});
+  ASSERT_EQ(events.size(), 15u);
+  EXPECT_THROW(deserialize_trace(events), wire::DecodeError);
+
+  // Ten zero parameters, then a corpus of 2^31 documents: 20 bytes.
+  const auto corpus = crafted(serialize_content(fx.model),
+                              {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1ULL << 31});
+  ASSERT_EQ(corpus.size(), 20u);
+  EXPECT_THROW(deserialize_content(corpus), wire::DecodeError);
+
+  // Both node counts at 2^32 - 1 (their 32-bit sum wraps), eight zero
+  // parameters and an empty corpus: 24 bytes.
+  const auto nodes = crafted(serialize_content(fx.model),
+                             {UINT32_MAX, UINT32_MAX, 0, 0, 0, 0, 0, 0, 0, 0,
+                              0});
+  ASSERT_EQ(nodes.size(), 24u);
+  EXPECT_THROW(deserialize_content(nodes), wire::DecodeError);
+}
+
+/// A bundle file's bytes: both section sizes, then the sections.
+std::vector<std::uint8_t> bundle_of(std::span<const std::uint8_t> content,
+                                    std::span<const std::uint8_t> trace) {
+  wire::Writer w;
+  w.varint(content.size());
+  w.varint(trace.size());
+  w.bytes(content);
+  w.bytes(trace);
+  return w.to_vector();
+}
+
+/// Deterministic mutants of `bytes`: every truncation, every byte with its
+/// top bit and with all bits flipped, and the varint at every offset set
+/// to 0, 2^31, 2^32 - 1 and 2^63.
+std::vector<std::vector<std::uint8_t>> mutants_of(
+    const std::vector<std::uint8_t>& bytes) {
+  std::vector<std::vector<std::uint8_t>> out;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    out.emplace_back(bytes.begin(), bytes.begin() + i);
+    for (const std::uint8_t mask : {0x80, 0xFF}) {
+      out.push_back(bytes);
+      out.back()[i] ^= mask;
+    }
+    std::size_t end = i + 1;  // one past the varint that starts at i
+    while (end < bytes.size() && (bytes[end - 1] & 0x80) != 0) ++end;
+    for (const std::uint64_t v :
+         {0ULL, 1ULL << 31, 0xFFFFFFFFULL, 1ULL << 63}) {
+      wire::Writer w;
+      w.varint(v);
+      auto& m = out.emplace_back(bytes);
+      m.erase(m.begin() + i, m.begin() + end);
+      m.insert(m.begin() + i, w.buffer().begin(), w.buffer().end());
+    }
+  }
+  return out;
+}
+
+/// True when the bundle decodes, false when it throws one of the errors
+/// trace_io.hpp promises; any other exception fails the test.
+bool decodes(std::span<const std::uint8_t> bundle) {
+  try {
+    decode_bundle(bundle);
+    return true;
+  } catch (const wire::DecodeError&) {
+    return false;
+  } catch (const ConfigError&) {
+    return false;
+  }
+}
+
+// A tiny saved bundle and a few thousand mutants of its content section,
+// its trace section and its framing: each decodes or throws DecodeError /
+// ConfigError, never anything else (the sanitizer build runs this too).
+TEST(TraceIo, MutatedBundlesDecodeOrThrow) {
+  ContentModelParams cp;
+  cp.initial_nodes = 12;
+  cp.joiner_nodes = 2;
+  cp.mean_docs_per_sharer = 2.0;
+  cp.max_docs_per_node = 4;
+  cp.popular_terms_per_class = 4;
+  Rng rng(5);
+  auto model = ContentModel::build(cp, rng);
+  TraceParams tp;
+  tp.num_queries = 12;
+  tp.joins = 2;
+  tp.leaves = 2;
+  Rng gen_rng(6);
+  TraceGenerator gen(model, tp, gen_rng);
+  const Trace trace = gen.generate();
+
+  const auto content = serialize_content(model);
+  const auto tr = serialize_trace(trace);
+  const auto bundle = bundle_of(content, tr);
+  ASSERT_TRUE(decodes(bundle));
+
+  std::size_t total = 0, decoded = 0;
+  const auto check = [&](std::span<const std::uint8_t> b) {
+    ++total;
+    if (decodes(b)) ++decoded;
+  };
+  for (const auto& m : mutants_of(content)) check(bundle_of(m, tr));
+  for (const auto& m : mutants_of(tr)) check(bundle_of(content, m));
+  for (const auto& m : mutants_of(bundle)) check(m);
+  EXPECT_GE(total, 2000u);
+  // Neither outcome is vacuous: some mutants decode, others are rejected.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_LT(decoded, total);
 }
 
 TEST(TraceIo, CompressionIsReasonable) {

@@ -2,25 +2,23 @@
 //
 // Runs any subset of the systems under test on any topology/preset with
 // every protocol knob exposed, prints the paper's metrics, and optionally
-// emits CSV for plotting.
+// emits CSV for plotting and results.json. Every invocation is one
+// experiment matrix (harness/matrix_runner.hpp): topology × fault
+// scenario × algorithm × trial, reported in that order.
 //
 //   asap_sim --algo asap-rw,flooding --topology crawled --queries 4000
 //   asap_sim --preset paper --algo all --jobs 4 --csv results.csv
 //   asap_sim --algo asap-rw --m0 1500 --refresh-period 60 --hops 2
-//   asap_sim --matrix --algo all --trials 8 --jobs 8 --json results.json
+//   asap_sim --algo all --trials 8 --jobs 8 --json results.json
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "faults/fault_config.hpp"
 #include "harness/matrix_runner.hpp"
-#include "harness/replay.hpp"
-#include "harness/world.hpp"
 #include "obs/observer.hpp"
 
 namespace {
@@ -28,44 +26,18 @@ namespace {
 using namespace asap;
 
 struct CliArgs {
-  harness::Preset preset = harness::Preset::kSmall;
-  std::vector<harness::TopologyKind> topologies{
-      harness::TopologyKind::kCrawled};
-  std::vector<harness::AlgoKind> algos{harness::AlgoKind::kFlooding,
-                                       harness::AlgoKind::kAsapRw};
-  std::uint64_t seed = 42;
-  std::uint32_t queries = 0;  // 0 = preset default
-  std::size_t jobs = 0;
-  std::uint32_t scale = 0;   // node-count override (0 = preset default)
-  bool stream_trace = false;  // force on-demand trace synthesis
+  // The sweep this invocation runs (harness/matrix_runner.hpp); parse()
+  // narrows its default algorithms to flooding and asap-rw.
+  harness::MatrixSpec spec;
   std::string csv_path;
-  bool audit = false;
-
-  // Fault scenarios (faults/fault_config.hpp): preset names or JSON paths.
-  // Empty = faults off. Plain mode takes one scenario; matrix mode sweeps
-  // a comma-separated list as an extra axis.
-  std::vector<faults::FaultScenario> fault_scenarios;
-
-  // Matrix mode (harness/matrix_runner.hpp).
-  bool matrix = false;
-  std::uint32_t trials = 1;
   std::string json_path;
 
   // Observability (obs/observer.hpp). Tracing observes exactly one run,
-  // so these require a single (topology, algo) pair — and one trial in
-  // matrix mode.
+  // so these require a single cell and one trial (run_matrix checks).
   std::string trace_out;
   std::uint64_t trace_sample = 1;
   std::string counters_out;
   double counters_period = 60.0;
-
-  bool tracing() const {
-    return !trace_out.empty() || !counters_out.empty();
-  }
-
-  // Defense override (--trust on|off): tri-state like MatrixSpec::trust.
-  // Unset leaves each fault scenario's own defense knobs alone.
-  std::optional<bool> trust;
 
   // ASAP overrides (applied to every ASAP variant in the run).
   std::optional<std::uint64_t> m0;
@@ -92,25 +64,12 @@ harness::AlgoKind parse_algo(const std::string& name) {
                     "asap-gsa, asap-adaptive, asap-delta, all)");
 }
 
-std::vector<std::string> split_csv(const std::string& list) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= list.size()) {
-    const auto comma = list.find(',', pos);
-    out.push_back(list.substr(
-        pos, comma == std::string::npos ? std::string::npos : comma - pos));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
 void print_usage() {
   std::cout <<
       R"(asap_sim — ASAP P2P search simulator
 
   --preset small|paper        world scale (default small)
-  --topology t1,t2            random, powerlaw, crawled (default crawled)
+  --topology t1,t2 | all      random, powerlaw, crawled (default crawled)
   --algo a1,a2 | all          flooding, random-walk, gsa, asap-fld,
                               asap-rw, asap-gsa (default flooding,asap-rw;
                               "all" = those six). asap-adaptive and
@@ -125,7 +84,12 @@ void print_usage() {
   --stream-trace              synthesize trace events on demand instead of
                               materializing them (bit-identical digests;
                               forced on by --scale >= 100k)
-  --csv FILE                  also write results as CSV
+  --trials N                  trials per cell (default 1); trial k runs
+                              with world seed seed ^ trial_seed_salt(k)
+                              and the table reports mean +/- stddev
+  --csv FILE                  also write one CSV row per trial run
+  --json FILE                 also write results.json
+                              (schema: docs/RESULTS_SCHEMA.md)
   --audit                     run the simulation invariant auditor; any
                               violation is reported and exits nonzero
   --faults SPEC[,SPEC...]     deterministic fault injection (DESIGN.md
@@ -133,8 +97,7 @@ void print_usage() {
                               none, churn, lossy, partition, burst, chaos,
                               polluted, polluted-open, storm, storm-open,
                               byzantine — or a path to a JSON scenario
-                              file. Plain mode takes one SPEC; matrix mode
-                              sweeps the list as an extra result axis.
+                              file. The list is swept as a result axis.
                               Unknown presets exit nonzero with the
                               available list.
   --trust on|off              defense override for every fault scenario
@@ -144,15 +107,8 @@ void print_usage() {
                               protection (the defense-off control arm).
                               Default: each scenario's own knobs.
 
-Matrix mode (repeated-seed sweeps, results.json):
-  --matrix                    fan (algo x topology x trial) out across the
-                              pool and report mean +/- stddev over trials;
-                              trial k runs with seed ^ trial_seed_salt(k)
-  --trials N                  trials per cell (default 1)
-  --json FILE                 write machine-readable results
-                              (schema: docs/RESULTS_SCHEMA.md)
-
-Observability (single topology + algorithm only; DESIGN.md section 9):
+Observability (one topology, scenario, algorithm and trial; DESIGN.md
+section 9):
   --trace-out FILE            JSONL event trace (query/ad/confirm/churn
                               spans); provably passive — the run digest is
                               identical with and without it
@@ -174,6 +130,9 @@ ASAP protocol overrides:
 
 CliArgs parse(int argc, char** argv) {
   CliArgs args;
+  harness::MatrixSpec& spec = args.spec;
+  spec.algos = {harness::AlgoKind::kFlooding, harness::AlgoKind::kAsapRw};
+  spec.verbose = true;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     auto next = [&]() -> std::string {
@@ -185,66 +144,49 @@ CliArgs parse(int argc, char** argv) {
       std::exit(0);
     } else if (flag == "--preset") {
       const auto v = next();
-      if (v == "paper") {
-        args.preset = harness::Preset::kPaper;
-      } else if (v == "small") {
-        args.preset = harness::Preset::kSmall;
-      } else {
-        throw ConfigError("unknown preset: " + v);
-      }
+      const auto preset = harness::preset_from_name(v);
+      if (!preset) throw ConfigError("unknown preset: " + v);
+      spec.preset = *preset;
     } else if (flag == "--topology") {
-      args.topologies.clear();
-      for (const auto& t : split_csv(next())) {
-        if (t == "random") {
-          args.topologies.push_back(harness::TopologyKind::kRandom);
-        } else if (t == "powerlaw") {
-          args.topologies.push_back(harness::TopologyKind::kPowerlaw);
-        } else if (t == "crawled") {
-          args.topologies.push_back(harness::TopologyKind::kCrawled);
-        } else {
-          throw ConfigError("unknown topology: " + t);
-        }
-      }
+      spec.topologies = harness::topologies_from_list(next());
     } else if (flag == "--algo") {
-      args.algos.clear();
+      spec.algos.clear();
       const auto list = next();
       if (list == "all") {
-        args.algos.assign(std::begin(harness::kAllAlgos),
+        spec.algos.assign(std::begin(harness::kAllAlgos),
                           std::end(harness::kAllAlgos));
       } else {
-        for (const auto& a : split_csv(list)) {
-          args.algos.push_back(parse_algo(a));
+        for (const auto& a : harness::split_list(list)) {
+          spec.algos.push_back(parse_algo(a));
         }
       }
     } else if (flag == "--seed") {
-      args.seed = std::stoull(next());
+      spec.seed = std::stoull(next());
     } else if (flag == "--queries") {
-      args.queries = static_cast<std::uint32_t>(std::stoul(next()));
+      spec.queries = static_cast<std::uint32_t>(std::stoul(next()));
     } else if (flag == "--jobs") {
-      args.jobs = std::stoul(next());
+      spec.jobs = std::stoul(next());
     } else if (flag == "--scale") {
-      args.scale = static_cast<std::uint32_t>(std::stoul(next()));
+      spec.scale = static_cast<std::uint32_t>(std::stoul(next()));
     } else if (flag == "--stream-trace") {
-      args.stream_trace = true;
-    } else if (flag == "--csv") {
-      args.csv_path = next();
+      spec.stream_trace = true;
+    } else if (flag == "--trials") {
+      spec.trials = static_cast<std::uint32_t>(std::stoul(next()));
     } else if (flag == "--audit") {
-      args.audit = true;
+      spec.options.audit = true;
     } else if (flag == "--faults") {
-      args.fault_scenarios.clear();
-      for (const auto& s : split_csv(next())) {
-        args.fault_scenarios.push_back(faults::scenario_from_spec(s));
+      spec.fault_scenarios.clear();
+      for (const auto& f : harness::split_list(next())) {
+        spec.fault_scenarios.push_back(faults::scenario_from_spec(f));
       }
     } else if (flag == "--trust") {
       const std::string v = next();
       if (v != "on" && v != "off") {
         throw ConfigError("--trust takes on|off");
       }
-      args.trust = (v == "on");
-    } else if (flag == "--matrix") {
-      args.matrix = true;
-    } else if (flag == "--trials") {
-      args.trials = static_cast<std::uint32_t>(std::stoul(next()));
+      spec.trust = (v == "on");
+    } else if (flag == "--csv") {
+      args.csv_path = next();
     } else if (flag == "--json") {
       args.json_path = next();
     } else if (flag == "--trace-out") {
@@ -280,135 +222,152 @@ CliArgs parse(int argc, char** argv) {
   return args;
 }
 
+/// The spec's shared options (audit, observer) plus, for an ASAP variant,
+/// the protocol overrides.
 harness::RunOptions options_for(const CliArgs& args, harness::AlgoKind kind) {
-  harness::RunOptions opts;
-  opts.audit = opts.audit || args.audit;
+  harness::RunOptions opts = args.spec.options;
   if (!harness::is_asap(kind)) return opts;
-  auto p = harness::default_asap_params(kind, args.preset);
+  auto& p = opts.asap.emplace(
+      harness::default_asap_params(kind, args.spec.preset));
   if (args.m0) p.budget_unit_m0 = *args.m0;
   if (args.refresh_period) p.refresh_period = *args.refresh_period;
   if (args.cache_capacity) p.cache_capacity = *args.cache_capacity;
   if (args.hops) p.ads_request_hops = *args.hops;
   if (args.results_needed) p.results_needed = *args.results_needed;
   if (args.refresh_pull) p.refresh_pull = *args.refresh_pull;
-  opts.asap = p;
   return opts;
 }
 
-/// Owns the output streams and observer of one traced run. Tracing
-/// observes exactly one simulation, so callers must first pass
-/// require_single_run_for_tracing().
-struct TraceSession {
-  std::ofstream trace_file;
-  std::ofstream counters_file;
-  std::optional<obs::RunObserver> observer;
+/// Opens `path` for writing into `file`; nullptr when no path was given.
+std::ostream* open_out(const std::string& path, std::ofstream& file) {
+  if (path.empty()) return nullptr;
+  file.open(path);
+  if (!file) throw ConfigError("cannot write " + path);
+  return &file;
+}
 
-  explicit TraceSession(const CliArgs& args) {
-    obs::ObsConfig cfg;
-    if (!args.trace_out.empty()) {
-      trace_file.open(args.trace_out);
-      if (!trace_file) throw ConfigError("cannot write " + args.trace_out);
-      cfg.trace_out = &trace_file;
-      cfg.trace_sample = args.trace_sample;
-    }
-    if (!args.counters_out.empty()) {
-      counters_file.open(args.counters_out);
-      if (!counters_file) {
-        throw ConfigError("cannot write " + args.counters_out);
-      }
-      cfg.counters_out = &counters_file;
-    }
-    cfg.snapshot_period = args.counters_period;
-    observer.emplace(cfg);
-  }
-
-  void report(const CliArgs& args) const {
-    if (!args.trace_out.empty()) {
-      std::cout << "wrote " << args.trace_out << " ("
-                << observer->trace_records_written() << " records)\n";
-    }
-    if (!args.counters_out.empty()) {
-      std::cout << "wrote " << args.counters_out << '\n';
-    }
-  }
+/// One column of the table and the CSV: a headline metric
+/// (harness::headline_metrics) shown in the table as scale × value.
+struct Column {
+  const char* header;
+  const char* metric;
+  double scale;
+  int precision;
 };
 
-void require_single_run_for_tracing(const CliArgs& args) {
-  if (!args.tracing()) return;
-  if (args.topologies.size() != 1 || args.algos.size() != 1 ||
-      (args.matrix && args.trials != 1)) {
-    throw ConfigError(
-        "--trace-out/--counters-out observe a single run: use exactly one "
-        "--topology and one --algo (and --trials 1 in matrix mode)");
+constexpr Column kColumns[] = {
+    {"success %", "success_rate", 100.0, 1},
+    {"resp ms", "avg_response_s", 1e3, 1},
+    {"p50 ms", "p50_response_s", 1e3, 1},
+    {"p95 ms", "p95_response_s", 1e3, 1},
+    {"cost B/search", "avg_cost_bytes", 1.0, 0},
+    {"results/search", "avg_results", 1.0, 2},
+    {"load B/node/s", "load_mean_Bps", 1.0, 1},
+    {"load stddev", "load_stddev_Bps", 1.0, 1},
+};
+
+/// The cell's mean, with "±stddev" when it ran more than one trial.
+std::string table_value(const harness::CellAggregate& cell,
+                        const Column& col) {
+  for (const auto& [name, s] : cell.metrics) {
+    if (name != col.metric) continue;
+    std::string out = TextTable::num(col.scale * s.mean, col.precision);
+    if (cell.trials > 1) {
+      out += "±" + TextTable::num(col.scale * s.stddev, col.precision);
+    }
+    return out;
+  }
+  throw InvariantError(std::string("matrix cell is missing metric ") +
+                       col.metric);
+}
+
+void print_fault_lines(const harness::MatrixResult& result) {
+  bool header = false;
+  for (const auto& run : result.trials) {
+    const auto& f = run.result.faults;
+    if (!f.enabled) continue;
+    if (!header) std::cout << "\nfault summary:\n";
+    header = true;
+    const auto& c = run.result.asap_counters;
+    std::cout << "  " << harness::topology_name(run.topology) << " / "
+              << run.scenario << " / " << run.result.algo << " trial "
+              << run.trial << ": " << f.crashes << " crashes, "
+              << (f.link_drops + f.burst_drops + f.partition_drops)
+              << " fault drops, " << f.dead_sends << " dead sends, "
+              << c.confirm_retries << " confirm retries, "
+              << c.stale_evictions << " stale evictions, success under churn "
+              << TextTable::num(100.0 * f.success_rate_after_onset, 1)
+              << "% over " << f.queries_after_onset << " queries\n";
   }
 }
 
-/// "12.3±4.5"-style cell for the aggregate table.
-std::string pm(const asap::metrics::MetricSummary& s, double scale,
-               int precision) {
-  return TextTable::num(scale * s.mean, precision) + "±" +
-         TextTable::num(scale * s.stddev, precision);
+void write_csv(const harness::MatrixResult& result, std::ostream& csv) {
+  csv << "topology,faults,algorithm,trial";
+  for (const auto& col : kColumns) csv << ',' << col.metric;
+  csv << ",digest\n";
+  for (const auto& run : result.trials) {
+    csv << harness::topology_name(run.topology) << ',' << run.scenario << ','
+        << run.result.algo << ',' << run.trial;
+    const auto metrics = harness::headline_metrics(run.result);
+    for (const auto& col : kColumns) {
+      for (const auto& [name, value] : metrics) {
+        if (name == col.metric) csv << ',' << value;
+      }
+    }
+    csv << ',' << std::hex << run.result.digest << std::dec << '\n';
+  }
 }
 
-const asap::metrics::MetricSummary& metric(
-    const harness::CellAggregate& cell, const std::string& name) {
-  for (const auto& [k, v] : cell.metrics) {
-    if (k == name) return v;
+int run(CliArgs& args) {
+  // Tracing observes one simulation: run_matrix rejects an observer on
+  // anything but a one-run spec.
+  std::ofstream trace_file, counters_file;
+  std::optional<obs::RunObserver> observer;
+  if (!args.trace_out.empty() || !args.counters_out.empty()) {
+    obs::ObsConfig cfg;
+    cfg.trace_out = open_out(args.trace_out, trace_file);
+    cfg.trace_sample = args.trace_sample;
+    cfg.counters_out = open_out(args.counters_out, counters_file);
+    cfg.snapshot_period = args.counters_period;
+    args.spec.options.observer = &observer.emplace(cfg);
   }
-  throw InvariantError("matrix cell is missing metric " + name);
-}
-
-int run_matrix_mode(const CliArgs& args) {
-  harness::MatrixSpec spec;
-  spec.preset = args.preset;
-  spec.topologies = args.topologies;
-  spec.algos = args.algos;
-  spec.seed = args.seed;
-  spec.trials = args.trials;
-  spec.jobs = args.jobs;
-  spec.queries = args.queries;
-  spec.scale = args.scale;
-  spec.stream_trace = args.stream_trace;
-  spec.options.audit = args.audit;
-  if (!args.fault_scenarios.empty()) {
-    spec.fault_scenarios = args.fault_scenarios;
-  }
-  spec.trust = args.trust;
-  std::optional<TraceSession> session;
-  if (args.tracing()) session.emplace(args);
-  obs::RunObserver* observer = session ? &*session->observer : nullptr;
-  spec.options.observer = observer;  // run_matrix re-checks the 1-cell rule
-  spec.options_for = [&args, observer](harness::AlgoKind kind) {
-    auto opts = options_for(args, kind);
-    opts.observer = observer;
-    return opts;
+  args.spec.options_for = [&args](harness::AlgoKind kind) {
+    return options_for(args, kind);
   };
-  spec.verbose = true;
 
-  const auto result = harness::run_matrix(spec);
-  if (session) session->report(args);
+  const auto result = harness::run_matrix(args.spec);
+  if (trace_file.is_open()) {
+    std::cout << "wrote " << args.trace_out << " ("
+              << observer->trace_records_written() << " records)\n";
+  }
+  if (counters_file.is_open()) {
+    std::cout << "wrote " << args.counters_out << '\n';
+  }
 
-  TextTable table({"topology", "faults", "algorithm", "trials", "success %",
-                   "resp ms", "cost/search", "load B/node/s", "digest[0]"});
+  std::vector<std::string> headers{"topology", "faults", "algorithm",
+                                   "trials"};
+  for (const auto& col : kColumns) headers.emplace_back(col.header);
+  TextTable table(headers);
   for (const auto& cell : result.cells) {
-    table.add_row({harness::topology_name(cell.topology), cell.scenario,
-                   harness::algo_name(cell.algo),
-                   std::to_string(cell.trials),
-                   pm(metric(cell, "success_rate"), 100.0, 1),
-                   pm(metric(cell, "avg_response_s"), 1e3, 1),
-                   pm(metric(cell, "avg_cost_bytes"), 1.0, 0),
-                   pm(metric(cell, "load_mean_Bps"), 1.0, 1),
-                   asap::json::hex_u64(cell.digests.front())});
+    std::vector<std::string> row{harness::topology_name(cell.topology),
+                                 cell.scenario, harness::algo_name(cell.algo),
+                                 std::to_string(cell.trials)};
+    for (const auto& col : kColumns) row.push_back(table_value(cell, col));
+    table.add_row(std::move(row));
   }
   std::cout << '\n';
   table.print(std::cout);
   std::cout << "\nmatrix digest " << asap::json::hex_u64(result.matrix_digest)
             << " (" << result.trials.size() << " trials, "
             << TextTable::num(result.wall_seconds, 1) << " s wall)\n";
+  print_fault_lines(result);
 
-  if (!args.json_path.empty()) {
-    std::ofstream json_out(args.json_path);
-    if (!json_out) throw ConfigError("cannot write " + args.json_path);
+  std::ofstream csv, json_out;
+  if (open_out(args.csv_path, csv) != nullptr) {
+    write_csv(result, csv);
+    std::cout << "wrote " << args.csv_path << '\n';
+  }
+  if (open_out(args.json_path, json_out) != nullptr) {
     harness::write_results_json(result, json_out);
     std::cout << "wrote " << args.json_path << '\n';
   }
@@ -437,147 +396,8 @@ int run_matrix_mode(const CliArgs& args) {
 
 int main(int argc, char** argv) {
   try {
-    const CliArgs args = parse(argc, argv);
-    require_single_run_for_tracing(args);
-    if (args.matrix) return run_matrix_mode(args);
-    if (args.fault_scenarios.size() > 1) {
-      throw ConfigError(
-          "plain mode runs one fault scenario; use --matrix to sweep a "
-          "--faults list");
-    }
-
-    std::optional<TraceSession> session;
-    if (args.tracing()) session.emplace(args);
-
-    struct Row {
-      harness::TopologyKind topo;
-      harness::RunResult res;
-      double p50 = 0.0, p95 = 0.0;
-    };
-    std::vector<Row> rows;
-    std::mutex mu;
-
-    for (const auto topo : args.topologies) {
-      auto cfg = harness::ExperimentConfig::make(args.preset, topo, args.seed);
-      if (args.queries != 0) cfg.trace.num_queries = args.queries;
-      if (args.scale != 0) cfg.apply_scale(args.scale);
-      if (args.stream_trace) cfg.stream_trace = true;
-      std::cerr << "building " << harness::topology_name(topo)
-                << " world (" << cfg.content.initial_nodes << " peers, "
-                << cfg.trace.num_queries << " queries"
-                << (cfg.stream_trace ? ", streaming trace" : "") << ")...\n";
-      const auto world = harness::build_world(cfg);
-
-      ThreadPool pool(args.jobs);
-      std::vector<std::future<void>> futs;
-      for (const auto kind : args.algos) {
-        futs.push_back(pool.submit([&, kind] {
-          auto opts = options_for(args, kind);
-          if (!args.fault_scenarios.empty() &&
-              args.fault_scenarios.front().config.any()) {
-            const auto& fc = args.fault_scenarios.front().config;
-            opts.faults = args.trust ? fc.with_trust(*args.trust) : fc;
-          }
-          // Safe across the pool: tracing is restricted to one algorithm
-          // and one topology, so at most one run sees the observer.
-          if (session) opts.observer = &*session->observer;
-          auto res = harness::run_experiment(world, kind, opts);
-          std::cerr << "  " << res.algo << " done ("
-                    << TextTable::num(res.wall_seconds, 1) << " s, "
-                    << res.engine_events << " engine events, digest "
-                    << std::hex << res.digest << std::dec << ")\n";
-          Row row{topo, std::move(res)};
-          const auto& samples = row.res.search.response_samples();
-          if (!samples.empty()) {
-            row.p50 = percentile(samples, 0.50);
-            row.p95 = percentile(samples, 0.95);
-          }
-          std::lock_guard lock(mu);
-          rows.push_back(std::move(row));
-        }));
-      }
-      for (auto& f : futs) f.get();
-    }
-
-    std::sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
-      return static_cast<int>(a.topo) < static_cast<int>(b.topo);
-    });
-
-    TextTable table({"topology", "algorithm", "success %", "resp ms",
-                     "p50 ms", "p95 ms", "cost/search", "results/search",
-                     "load B/node/s", "load stddev"});
-    for (const auto& row : rows) {
-      const auto& s = row.res.search;
-      table.add_row({harness::topology_name(row.topo), row.res.algo,
-                     TextTable::num(100.0 * s.success_rate(), 1),
-                     TextTable::num(1e3 * s.avg_response_time(), 1),
-                     TextTable::num(1e3 * row.p50, 1),
-                     TextTable::num(1e3 * row.p95, 1),
-                     TextTable::bytes(s.avg_cost_bytes()),
-                     TextTable::num(s.avg_results(), 2),
-                     TextTable::num(row.res.load.mean_bytes_per_node_per_sec,
-                                    1),
-                     TextTable::num(
-                         row.res.load.stddev_bytes_per_node_per_sec, 1)});
-    }
-    std::cout << '\n';
-    table.print(std::cout);
-
-    if (!args.fault_scenarios.empty() &&
-        args.fault_scenarios.front().config.any()) {
-      std::cout << "\nfault scenario '" << args.fault_scenarios.front().name
-                << "':\n";
-      for (const auto& row : rows) {
-        const auto& f = row.res.faults;
-        const auto& c = row.res.asap_counters;
-        std::cout << "  " << harness::topology_name(row.topo) << " / "
-                  << row.res.algo << ": " << f.crashes << " crashes, "
-                  << (f.link_drops + f.burst_drops + f.partition_drops)
-                  << " fault drops, " << f.dead_sends << " dead sends, "
-                  << c.confirm_retries << " confirm retries, "
-                  << c.stale_evictions << " stale evictions, success under "
-                  << "churn "
-                  << TextTable::num(100.0 * f.success_rate_after_onset, 1)
-                  << "% over " << f.queries_after_onset << " queries\n";
-      }
-    }
-
-    std::uint64_t total_violations = 0;
-    for (const auto& row : rows) {
-      if (!row.res.audited || row.res.audit_violations == 0) continue;
-      total_violations += row.res.audit_violations;
-      std::cerr << "\naudit: " << row.res.audit_violations
-                << " violation(s) in " << row.res.algo << " on "
-                << harness::topology_name(row.topo) << ":\n";
-      for (const auto& msg : row.res.audit_messages) {
-        std::cerr << "  - " << msg << '\n';
-      }
-    }
-
-    if (!args.csv_path.empty()) {
-      std::ofstream csv(args.csv_path);
-      if (!csv) throw ConfigError("cannot write " + args.csv_path);
-      csv << "topology,algorithm,success_rate,avg_response_s,p50_s,p95_s,"
-             "avg_cost_bytes,avg_results,load_mean,load_stddev,digest\n";
-      for (const auto& row : rows) {
-        const auto& s = row.res.search;
-        csv << harness::topology_name(row.topo) << ',' << row.res.algo << ','
-            << s.success_rate() << ',' << s.avg_response_time() << ','
-            << row.p50 << ',' << row.p95 << ',' << s.avg_cost_bytes() << ','
-            << s.avg_results() << ','
-            << row.res.load.mean_bytes_per_node_per_sec << ','
-            << row.res.load.stddev_bytes_per_node_per_sec << ','
-            << std::hex << row.res.digest << std::dec << '\n';
-      }
-      std::cout << "\nwrote " << args.csv_path << '\n';
-    }
-    if (session) session->report(args);
-    if (total_violations > 0) {
-      std::cerr << "\naudit failed: " << total_violations
-                << " total violation(s)\n";
-      return 2;
-    }
-    return 0;
+    CliArgs args = parse(argc, argv);
+    return run(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
