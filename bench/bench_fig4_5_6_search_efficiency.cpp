@@ -14,7 +14,8 @@
 int main(int argc, char** argv) {
   using namespace asap;
   const auto args = bench::BenchArgs::parse(argc, argv);
-  const auto runs = harness::run_matrix(bench::matrix_spec(args)).trials;
+  const auto result = harness::run_matrix(bench::matrix_spec(args));
+  const auto& runs = result.trials;
 
   std::cout << "=== Fig 4: search success rate (%) ===\n";
   std::cout << "=== Fig 5: average response time of successful searches "
@@ -38,21 +39,19 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // Headline ratios on the crawled topology (the paper's §V focus).
-  const harness::RunResult* flood = nullptr;
-  const harness::RunResult* asap_rw = nullptr;
-  for (const auto& run : runs) {
-    if (run.topology != harness::TopologyKind::kCrawled) continue;
-    if (run.algo == harness::AlgoKind::kFlooding) flood = &run.result;
-    if (run.algo == harness::AlgoKind::kAsapRw) asap_rw = &run.result;
-  }
-  if (flood != nullptr && asap_rw != nullptr &&
-      flood->search.avg_response_time() > 0.0) {
-    const double resp_cut = 100.0 * (1.0 - asap_rw->search.avg_response_time() /
-                                               flood->search.avg_response_time());
-    const double cost_ratio =
-        flood->search.avg_cost_bytes() /
-        std::max(1.0, asap_rw->search.avg_cost_bytes());
+  // Headline ratios on the crawled topology (the paper's §V focus), from
+  // the cells' means over trials.
+  const auto mean = [&](harness::AlgoKind algo, std::string_view metric) {
+    return bench::cell_mean(result, harness::TopologyKind::kCrawled, algo,
+                            metric);
+  };
+  const auto flood_resp = mean(harness::AlgoKind::kFlooding, "avg_response_s");
+  const auto flood_cost = mean(harness::AlgoKind::kFlooding, "avg_cost_bytes");
+  const auto asap_resp = mean(harness::AlgoKind::kAsapRw, "avg_response_s");
+  const auto asap_cost = mean(harness::AlgoKind::kAsapRw, "avg_cost_bytes");
+  if (flood_resp && asap_resp && *flood_resp > 0.0) {
+    const double resp_cut = 100.0 * (1.0 - *asap_resp / *flood_resp);
+    const double cost_ratio = *flood_cost / std::max(1.0, *asap_cost);
     std::cout << "\ncrawled topology, ASAP(RW) vs flooding: response time "
               << TextTable::num(resp_cut, 1) << "% shorter (paper: 62-78%), "
               << "search cost " << TextTable::num(cost_ratio, 0)

@@ -14,7 +14,8 @@
 int main(int argc, char** argv) {
   using namespace asap;
   const auto args = bench::BenchArgs::parse(argc, argv);
-  const auto runs = harness::run_matrix(bench::matrix_spec(args)).trials;
+  const auto result = harness::run_matrix(bench::matrix_spec(args));
+  const auto& runs = result.trials;
 
   std::cout << "=== Fig 8: average system load (bytes/node/s) ===\n";
   std::cout << "=== Fig 9: system load standard deviation ===\n\n";
@@ -30,19 +31,16 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // Headline ratio: ASAP(RW) vs the random-walk baseline (crawled).
-  const harness::RunResult* rw = nullptr;
-  const harness::RunResult* asap_rw = nullptr;
-  for (const auto& run : runs) {
-    if (run.topology != harness::TopologyKind::kCrawled) continue;
-    if (run.algo == harness::AlgoKind::kRandomWalk) rw = &run.result;
-    if (run.algo == harness::AlgoKind::kAsapRw) asap_rw = &run.result;
-  }
-  if (rw != nullptr && asap_rw != nullptr &&
-      rw->load.mean_bytes_per_node_per_sec > 0.0) {
-    const double cut =
-        100.0 * (1.0 - asap_rw->load.mean_bytes_per_node_per_sec /
-                           rw->load.mean_bytes_per_node_per_sec);
+  // Headline ratio: ASAP(RW) vs the random-walk baseline (crawled), from
+  // the cells' means over trials.
+  const auto rw_load =
+      bench::cell_mean(result, harness::TopologyKind::kCrawled,
+                       harness::AlgoKind::kRandomWalk, "load_mean_Bps");
+  const auto asap_load =
+      bench::cell_mean(result, harness::TopologyKind::kCrawled,
+                       harness::AlgoKind::kAsapRw, "load_mean_Bps");
+  if (rw_load && asap_load && *rw_load > 0.0) {
+    const double cut = 100.0 * (1.0 - *asap_load / *rw_load);
     std::cout << "\ncrawled topology: ASAP(RW) load is "
               << TextTable::num(cut, 1)
               << "% below the random-walk baseline (paper: >81%)\n";

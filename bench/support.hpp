@@ -16,7 +16,9 @@
 
 #include <cstdint>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/table.hpp"
@@ -102,6 +104,22 @@ inline harness::MatrixSpec matrix_spec(
   spec.queries = args.queries_override;
   spec.verbose = true;
   return spec;
+}
+
+/// Mean over trials of a headline metric (a harness::headline_metrics
+/// name) in the sweep's (topology, algorithm) cell, or nullopt when the
+/// sweep ran no such cell.
+inline std::optional<double> cell_mean(const harness::MatrixResult& result,
+                                       harness::TopologyKind topology,
+                                       harness::AlgoKind algo,
+                                       std::string_view metric) {
+  for (const auto& cell : result.cells) {
+    if (cell.topology != topology || cell.algo != algo) continue;
+    for (const auto& [name, summary] : cell.metrics) {
+      if (name == metric) return summary.mean;
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace asap::bench

@@ -198,7 +198,7 @@ MatrixResult run_matrix(const MatrixSpec& spec) {
     slot.result.profile.insert(slot.result.profile.begin(),
                                world_profiles[topo_idx * trials + trial]);
     progress("[matrix] " + std::string(topology_name(slot.topology)) + " / " +
-             scen.name + " / " + slot.result.algo + " trial " +
+             scen.name + " / " + algo_name(slot.algo) + " trial " +
              std::to_string(trial) + " done, digest " +
              json::hex_u64(slot.result.digest));
   });

@@ -131,8 +131,9 @@ struct FaultSummary {
 
 struct RunResult {
   /// The name() of the protocol that ran, e.g. "sp-asap(rw)" for the
-  /// superpeer placement or "asap-delta(rw)"; results.json keys use
-  /// algo_name(AlgoKind) instead.
+  /// superpeer placement or "asap-delta(rw)". results.json, run_matrix's
+  /// progress lines and every asap_sim output name a run by
+  /// algo_name(AlgoKind) instead, the --algo key.
   std::string algo;
   metrics::SearchStats search;
   metrics::LoadSummary load;

@@ -56,22 +56,28 @@ void BaselineSearch::run_query(const trace::TraceEvent& event) {
   if (ctx_.faults != nullptr && ctx_.faults->crashed(origin, t0)) return;
   const auto terms = event.term_span();
 
-  // Ground truth: online nodes holding a document with all terms. The
-  // kernels check membership per visit (binary search) instead of scanning
-  // each visited node's document list. The GSA/flood/walk baselines test
-  // no Bloom filters, so they have nothing to gain from the hashed-query
-  // fast path (ctx_.hash_query) the filter-scanning protocols use.
-  auto matching = ctx_.index.matching_nodes(terms, ctx_.live, ctx_.model);
-  // The requester searches the network, not itself.
-  matching.erase(std::remove(matching.begin(), matching.end(), origin),
-                 matching.end());
+  // Ground truth: online nodes holding a document with all terms. Each
+  // holder gets this query's stamp, so a visit tests membership with one
+  // array read instead of scanning the node's document list. The
+  // GSA/flood/walk baselines test no Bloom filters, so they have nothing
+  // to gain from the hashed-query fast path (ctx_.hash_query) the
+  // filter-scanning protocols use.
+  const auto matching =
+      ctx_.index.matching_nodes(terms, ctx_.live, ctx_.model);
+  const std::size_t span = std::max<std::size_t>(
+      ctx_.graph().num_nodes(),
+      matching.empty() ? 0 : std::size_t{matching.back()} + 1);
+  if (holder_stamp_.size() < span) holder_stamp_.resize(span, 0);
+  ++stamp_;
+  for (const NodeId n : matching) {
+    // The requester searches the network, not itself.
+    if (n != origin) holder_stamp_[n] = stamp_;
+  }
 
   std::uint64_t hits = 0;
   Seconds best_response = std::numeric_limits<Seconds>::infinity();
   auto on_visit = [&](NodeId node, Seconds t, std::uint32_t) {
-    if (!std::binary_search(matching.begin(), matching.end(), node)) {
-      return VisitAction::kContinue;
-    }
+    if (holder_stamp_[node] != stamp_) return VisitAction::kContinue;
     ++hits;
     // The hit node responds directly to the requester.
     const Seconds back = t + ctx_.hop_latency(node, origin);

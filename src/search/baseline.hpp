@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "search/algorithm.hpp"
 #include "search/context.hpp"
@@ -48,6 +49,10 @@ class BaselineSearch final : public SearchAlgorithm {
 
   Ctx& ctx_;
   BaselineParams params_;
+  // holder_stamp_[n] == stamp_ iff n is a matching holder of the query
+  // being run (epoch stamps, like Ctx's visited marks).
+  std::vector<std::uint32_t> holder_stamp_;
+  std::uint32_t stamp_ = 0;
 };
 
 }  // namespace asap::search

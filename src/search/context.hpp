@@ -17,6 +17,7 @@
 #include "net/transit_stub.hpp"
 #include "obs/observer.hpp"
 #include "overlay/overlay.hpp"
+#include "search/flood_heap.hpp"
 #include "sim/bandwidth.hpp"
 #include "sim/engine.hpp"
 #include "sim/size_model.hpp"
@@ -145,11 +146,17 @@ struct Ctx {
   bool visited(NodeId n) const { return epoch_mark_[n] == epoch_; }
   void mark_visited(NodeId n) { epoch_mark_[n] = epoch_; }
 
+  /// The flood kernel's in-flight heap, scratch like the epoch marks and
+  /// under the same one-propagation-at-a-time contract, so its capacity
+  /// is reused across propagations.
+  FloodHeap& flood_heap() { return flood_heap_; }
+
  private:
   friend class GraphScope;
   const overlay::Overlay* graph_override_ = nullptr;
   std::vector<std::uint32_t> epoch_mark_;
   std::uint32_t epoch_ = 0;
+  FloodHeap flood_heap_;
   bloom::HashedQuery hashed_query_;
 };
 

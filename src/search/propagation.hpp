@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <queue>
 #include <span>
 #include <vector>
 
@@ -39,18 +38,6 @@ struct PropagationStats {
   std::uint32_t unique_nodes = 0;  // distinct nodes visited (flood only)
 };
 
-namespace detail {
-
-struct FloodMsg {
-  Seconds time;
-  NodeId node;
-  NodeId from;
-  std::uint32_t ttl;
-  bool operator>(const FloodMsg& other) const { return time > other.time; }
-};
-
-}  // namespace detail
-
 /// Flood with duplicate suppression: a node forwards the first copy it
 /// receives (TTL permitting); later copies still cost bandwidth but are
 /// dropped. `ttl` is the number of overlay hops a message may travel.
@@ -67,9 +54,10 @@ PropagationStats flood(Ctx& ctx, NodeId origin, Seconds start,
   ctx.begin_epoch();
   ctx.mark_visited(origin);
 
-  std::priority_queue<detail::FloodMsg, std::vector<detail::FloodMsg>,
-                      std::greater<>>
-      pq;
+  // In-flight copies pop in arrival-time order; ties pop in the heap's
+  // specified order (search/flood_heap.hpp).
+  FloodHeap& pq = ctx.flood_heap();
+  pq.clear();
   auto send_to_neighbors = [&](NodeId from_node, NodeId prev, Seconds t,
                                std::uint32_t remaining) {
     for (NodeId nb : ctx.graph().neighbors(from_node)) {
@@ -100,15 +88,14 @@ PropagationStats flood(Ctx& ctx, NodeId origin, Seconds start,
         ASAP_OBS_HOOK(ctx.obs, on_drop_loss(cat));
         continue;
       }
-      pq.push({t + ctx.hop_latency(from_node, nb), nb, from_node, remaining});
+      pq.push(t + ctx.hop_latency(from_node, nb), {nb, from_node, remaining});
     }
   };
   send_to_neighbors(origin, kInvalidNode, start, ttl - 1);
 
   while (!pq.empty()) {
-    const detail::FloodMsg m = pq.top();
-    pq.pop();
-    ctx.ledger.deposit(m.time, cat, msg_size);
+    const auto [arrival, m] = pq.pop();
+    ctx.ledger.deposit(arrival, cat, msg_size);
     if (ctx.visited(m.node)) {  // duplicate: paid for, dropped
       ASAP_OBS_HOOK(ctx.obs, on_drop_duplicate(cat));
       continue;
@@ -116,19 +103,16 @@ PropagationStats flood(Ctx& ctx, NodeId origin, Seconds start,
     ctx.mark_visited(m.node);
     ++stats.unique_nodes;
     ASAP_AUDIT_HOOK(ctx.auditor, on_delivery(ctx.online(m.node)));
-    const VisitAction action = visit(m.node, m.time, ttl - m.ttl);
+    const VisitAction action = visit(m.node, arrival, ttl - m.ttl);
     if (action == VisitAction::kStopAll) {
       // In-flight copies were already counted as sent and still arrive at
       // their receivers; deposit them so byte conservation holds instead
       // of silently dropping paid-for traffic.
-      while (!pq.empty()) {
-        ctx.ledger.deposit(pq.top().time, cat, msg_size);
-        pq.pop();
-      }
+      while (!pq.empty()) ctx.ledger.deposit(pq.pop().time, cat, msg_size);
       break;
     }
     if (m.ttl > 0) {
-      send_to_neighbors(m.node, m.from, m.time, m.ttl - 1);
+      send_to_neighbors(m.node, m.from, arrival, m.ttl - 1);
     } else {
       // The copy dies here: TTL exhausted.
       ASAP_OBS_HOOK(ctx.obs, on_drop_ttl(cat));

@@ -290,8 +290,8 @@ void print_fault_lines(const harness::MatrixResult& result) {
     header = true;
     const auto& c = run.result.asap_counters;
     std::cout << "  " << harness::topology_name(run.topology) << " / "
-              << run.scenario << " / " << run.result.algo << " trial "
-              << run.trial << ": " << f.crashes << " crashes, "
+              << run.scenario << " / " << harness::algo_name(run.algo)
+              << " trial " << run.trial << ": " << f.crashes << " crashes, "
               << (f.link_drops + f.burst_drops + f.partition_drops)
               << " fault drops, " << f.dead_sends << " dead sends, "
               << c.confirm_retries << " confirm retries, "
@@ -307,7 +307,7 @@ void write_csv(const harness::MatrixResult& result, std::ostream& csv) {
   csv << ",digest\n";
   for (const auto& run : result.trials) {
     csv << harness::topology_name(run.topology) << ',' << run.scenario << ','
-        << run.result.algo << ',' << run.trial;
+        << harness::algo_name(run.algo) << ',' << run.trial;
     const auto metrics = harness::headline_metrics(run.result);
     for (const auto& col : kColumns) {
       for (const auto& [name, value] : metrics) {
@@ -377,8 +377,8 @@ int run(CliArgs& args) {
     if (!run.result.audited || run.result.audit_violations == 0) continue;
     total_violations += run.result.audit_violations;
     std::cerr << "audit: " << run.result.audit_violations
-              << " violation(s) in " << run.result.algo << " on "
-              << harness::topology_name(run.topology) << " trial "
+              << " violation(s) in " << harness::algo_name(run.algo)
+              << " on " << harness::topology_name(run.topology) << " trial "
               << run.trial << '\n';
     for (const auto& msg : run.result.audit_messages) {
       std::cerr << "  - " << msg << '\n';
