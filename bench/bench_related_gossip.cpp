@@ -7,78 +7,13 @@
 // interest-gated caching. This bench puts numbers on that claim using the
 // identical workload.
 #include <iostream>
+#include <memory>
 
 #include "bench/support.hpp"
 #include "search/gossip.hpp"
-#include "sim/liveness.hpp"
-
-namespace {
-
-using namespace asap;
-
-struct GossipResult {
-  metrics::SearchStats search;
-  metrics::LoadSummary load;
-};
-
-GossipResult run_gossip(const harness::World& world,
-                        const search::GossipParams& params) {
-  const Seconds warmup = world.cfg.warmup;
-  const Seconds horizon = warmup + world.trace.horizon + 30.0;
-  overlay::Overlay ov = world.base_overlay;
-  trace::LiveContent live(world.model);
-  trace::ContentIndex index(world.model, live);
-  sim::Liveness liveness(world.model.total_node_slots(),
-                         world.model.params().initial_nodes);
-  sim::Engine engine;
-  sim::BandwidthLedger ledger(horizon);
-  Rng algo_rng(world.cfg.seed ^ 0x517CC1B727220A95ULL);
-  Rng churn_rng(world.cfg.seed ^ 0x2545F4914F6CDD1DULL);
-  search::Ctx ctx(ov, world.phys, world.node_phys, world.model, live, index,
-                  engine, ledger, world.cfg.sizes, algo_rng);
-  search::GossipIndexSearch algo(ctx, params);
-
-  algo.warm_up(warmup);
-  for (const auto& ev : world.trace.events) {
-    const Seconds t = ev.time + warmup;
-    engine.run_until(t);
-    switch (ev.type) {
-      case trace::TraceEventType::kJoin:
-        ov.attach_new(world.cfg.join_degree, churn_rng);
-        liveness.set_online(ev.node, true, t);
-        break;
-      case trace::TraceEventType::kRejoin:
-        ov.reattach(ev.node, world.cfg.join_degree, churn_rng);
-        liveness.set_online(ev.node, true, t);
-        break;
-      case trace::TraceEventType::kLeave:
-        ov.detach(ev.node);
-        liveness.set_online(ev.node, false, t);
-        break;
-      default:
-        break;
-    }
-    live.apply(ev, world.model);
-    index.apply(ev, world.model);
-    trace::TraceEvent shifted = ev;
-    shifted.time = t;
-    algo.on_trace_event(shifted);
-  }
-  engine.run_until(horizon);
-
-  GossipResult out;
-  out.search = algo.stats();
-  const auto live_series = liveness.live_count_series(horizon);
-  const sim::Traffic cats[] = {sim::Traffic::kFullAd, sim::Traffic::kConfirm};
-  out.load = metrics::reduce_load(
-      ledger, cats, live_series, static_cast<std::uint32_t>(warmup),
-      static_cast<std::uint32_t>(warmup + world.trace.horizon) + 1);
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
+  using namespace asap;
   auto args = bench::BenchArgs::parse(argc, argv);
   if (args.queries_override == 0) args.queries_override = 2'000;
   const auto cfg = bench::make_config(args, harness::TopologyKind::kCrawled);
@@ -89,21 +24,7 @@ int main(int argc, char** argv) {
                "crawled ===\n\n";
   TextTable table({"system", "success %", "resp ms", "cost/search",
                    "load B/node/s", "load stddev"});
-
-  {
-    const auto res = run_gossip(world, search::GossipParams{});
-    std::cerr << "[bench] gossip done\n";
-    table.add_row({"gossip(planetp)",
-                   TextTable::num(100.0 * res.search.success_rate(), 1),
-                   TextTable::num(1e3 * res.search.avg_response_time(), 1),
-                   TextTable::bytes(res.search.avg_cost_bytes()),
-                   TextTable::num(res.load.mean_bytes_per_node_per_sec, 1),
-                   TextTable::num(res.load.stddev_bytes_per_node_per_sec,
-                                  1)});
-  }
-  for (const auto kind :
-       {harness::AlgoKind::kAsapRw, harness::AlgoKind::kFlooding}) {
-    const auto res = harness::run_experiment(world, kind);
+  auto add_row = [&](const harness::RunResult& res) {
     std::cerr << "[bench] " << res.algo << " done\n";
     table.add_row({res.algo,
                    TextTable::num(100.0 * res.search.success_rate(), 1),
@@ -112,6 +33,15 @@ int main(int argc, char** argv) {
                    TextTable::num(res.load.mean_bytes_per_node_per_sec, 1),
                    TextTable::num(res.load.stddev_bytes_per_node_per_sec,
                                   1)});
+  };
+
+  add_row(harness::run_experiment(world, [](search::Ctx& ctx) {
+    return std::make_unique<search::GossipIndexSearch>(ctx,
+                                                       search::GossipParams{});
+  }));
+  for (const auto kind :
+       {harness::AlgoKind::kAsapRw, harness::AlgoKind::kFlooding}) {
+    add_row(harness::run_experiment(world, kind));
   }
   table.print(std::cout);
   std::cout << "\n(expected shape: gossip matches ASAP's search quality but "

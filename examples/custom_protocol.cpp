@@ -10,21 +10,24 @@
 //
 // The example shows the full extension surface: derive from
 // search::SearchAlgorithm, drive the propagation kernels, account traffic
-// via the shared BandwidthLedger, and record metrics with SearchStats —
-// then replay the trace by hand (the same loop harness::run_experiment
-// uses internally).
+// via the shared BandwidthLedger (and the invariant auditor), name the
+// traffic that counts as load, and record metrics with SearchStats. A
+// factory hands the protocol to harness::run_experiment, the replay loop
+// every built-in system runs through. Each row is audited, and the
+// example exits 1 on any invariant violation.
 //
 //   ./custom_protocol [seed]
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
+#include <memory>
 
 #include "common/table.hpp"
 #include "harness/replay.hpp"
 #include "harness/world.hpp"
 #include "search/propagation.hpp"
-#include "sim/liveness.hpp"
+#include "sim/audit.hpp"
 
 namespace {
 
@@ -36,6 +39,12 @@ class ExpandingRingSearch final : public search::SearchAlgorithm {
       : ctx_(ctx), max_ttl_(max_ttl) {}
 
   std::string name() const override { return "expanding-ring"; }
+
+  /// Like the baselines, only query messages count as load.
+  std::span<const sim::Traffic> load_categories() const override {
+    static constexpr sim::Traffic kLoad[] = {sim::Traffic::kQuery};
+    return kLoad;
+  }
 
   void on_trace_event(const trace::TraceEvent& ev) override {
     if (ev.type != trace::TraceEventType::kQuery) return;
@@ -55,6 +64,9 @@ class ExpandingRingSearch final : public search::SearchAlgorithm {
           [&](NodeId n, Seconds t, std::uint32_t) {
             if (std::binary_search(matching.begin(), matching.end(), n)) {
               const Seconds back = t + ctx_.latency(n, ev.node);
+              ASAP_AUDIT_HOOK(ctx_.auditor,
+                              on_send(sim::Traffic::kResponse,
+                                      ctx_.sizes.response));
               ctx_.ledger.deposit(back, sim::Traffic::kResponse,
                                   ctx_.sizes.response);
               best = std::min(best, back);
@@ -77,32 +89,6 @@ class ExpandingRingSearch final : public search::SearchAlgorithm {
   std::uint32_t max_ttl_;
 };
 
-/// Minimal replay loop for a hand-constructed algorithm (the library's
-/// run_experiment does exactly this for the built-in systems).
-metrics::SearchStats replay(const harness::World& world,
-                            search::SearchAlgorithm& algo,
-                            overlay::Overlay& ov, trace::LiveContent& live,
-                            trace::ContentIndex& index, sim::Engine& engine,
-                            Rng& churn_rng) {
-  const Seconds warmup = world.cfg.warmup;
-  algo.warm_up(warmup);
-  for (const auto& ev : world.trace.events) {
-    const Seconds t = ev.time + warmup;
-    engine.run_until(t);
-    if (ev.type == trace::TraceEventType::kJoin) {
-      ov.attach_new(world.cfg.join_degree, churn_rng);
-    } else if (ev.type == trace::TraceEventType::kLeave) {
-      ov.detach(ev.node);
-    }
-    live.apply(ev, world.model);
-    index.apply(ev, world.model);
-    trace::TraceEvent shifted = ev;
-    shifted.time = t;
-    algo.on_trace_event(shifted);
-  }
-  return algo.stats();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -117,45 +103,40 @@ int main(int argc, char** argv) {
 
   TextTable table(
       {"algorithm", "success %", "resp ms", "cost/search", "msgs/search"});
-
-  // The custom protocol, replayed by hand.
-  {
-    overlay::Overlay ov = world.base_overlay;
-    trace::LiveContent live(world.model);
-    trace::ContentIndex index(world.model, live);
-    sim::Engine engine;
-    sim::BandwidthLedger ledger(world.cfg.warmup + world.trace.horizon +
-                                30.0);
-    Rng algo_rng(seed);
-    Rng churn_rng(seed ^ 0x2545F4914F6CDD1DULL);
-    search::Ctx ctx(ov, world.phys, world.node_phys, world.model, live,
-                    index, engine, ledger, cfg.sizes, algo_rng);
-    ExpandingRingSearch ring(ctx, 16);
-    std::cout << "running expanding-ring...\n";
-    const auto stats = replay(world, ring, ov, live, index, engine,
-                              churn_rng);
-    table.add_row({ring.name(),
-                   TextTable::num(100.0 * stats.success_rate(), 1),
-                   TextTable::num(1e3 * stats.avg_response_time(), 1),
-                   TextTable::bytes(stats.avg_cost_bytes()),
-                   TextTable::num(stats.avg_messages(), 1)});
-  }
-
-  // Built-in references on the identical workload.
-  for (const auto kind :
-       {harness::AlgoKind::kFlooding, harness::AlgoKind::kAsapRw}) {
-    std::cout << "running " << harness::algo_name(kind) << "...\n";
-    const auto res = harness::run_experiment(world, kind);
+  harness::RunOptions opts;
+  opts.audit = true;
+  bool clean = true;
+  auto add_row = [&](const harness::RunResult& res) {
     table.add_row({res.algo,
                    TextTable::num(100.0 * res.search.success_rate(), 1),
                    TextTable::num(1e3 * res.search.avg_response_time(), 1),
                    TextTable::bytes(res.search.avg_cost_bytes()),
                    TextTable::num(res.search.avg_messages(), 1)});
+    for (const auto& msg : res.audit_messages) {
+      std::cerr << res.algo << ": " << msg << '\n';
+    }
+    clean = clean && res.audit_violations == 0;
+  };
+
+  // The custom protocol, built by a factory against the run's context.
+  std::cout << "running expanding-ring...\n";
+  add_row(harness::run_experiment(
+      world,
+      [](search::Ctx& ctx) {
+        return std::make_unique<ExpandingRingSearch>(ctx, 16);
+      },
+      opts));
+
+  // Built-in references on the identical workload.
+  for (const auto kind :
+       {harness::AlgoKind::kFlooding, harness::AlgoKind::kAsapRw}) {
+    std::cout << "running " << harness::algo_name(kind) << "...\n";
+    add_row(harness::run_experiment(world, kind, opts));
   }
   std::cout << '\n';
   table.print(std::cout);
   std::cout << "\nExpanding ring undercuts flooding's cost when content is\n"
                "popular but re-floods for rare documents; ASAP sidesteps\n"
                "the dilemma by resolving from cached advertisements.\n";
-  return 0;
+  return clean ? 0 : 1;
 }

@@ -177,7 +177,6 @@ class AdCache {
   /// Re-admission backoff after erase_stale(); 0 (default) disables the
   /// blocking entirely (erase_stale degenerates to erase).
   void set_readmit_backoff(double backoff) { readmit_backoff_ = backoff; }
-  double readmit_backoff() const { return readmit_backoff_; }
   /// True while put() would drop ads for `source` (regression tests).
   bool readmit_blocked(NodeId source, double now) const;
   /// The cached entry for `source`, if any.

@@ -141,14 +141,4 @@ std::uint32_t AdScheduler::stride_of(ItemId id) const {
   return it == pos_.end() ? 0 : stride(ring_[it->second]);
 }
 
-std::uint32_t AdScheduler::stable_emits_of(ItemId id) const {
-  const auto it = pos_.find(id);
-  return it == pos_.end() ? 0 : ring_[it->second].stable_emits;
-}
-
-bool AdScheduler::urgent_pending(ItemId id) const {
-  const auto it = pos_.find(id);
-  return it != pos_.end() && ring_[it->second].urgent;
-}
-
 }  // namespace asap::ads

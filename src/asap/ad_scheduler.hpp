@@ -90,9 +90,6 @@ class AdScheduler {
   const AdSchedulerParams& params() const { return params_; }
   /// Current re-advertise stride of an item (1, 2 or 4); 0 when absent.
   std::uint32_t stride_of(ItemId id) const;
-  /// Consecutive unchanged emissions; 0 when absent or just changed.
-  std::uint32_t stable_emits_of(ItemId id) const;
-  bool urgent_pending(ItemId id) const;
 
  private:
   struct Slot {

@@ -170,7 +170,18 @@ class AsapProtocol final : public search::SearchAlgorithm {
  public:
   AsapProtocol(search::Ctx& ctx, AsapParams params);
 
+  /// Ad deliveries plus confirmation and ads-request traffic (§V-B).
+  /// kPackedAd is always zero for the vanilla variants, so listing it
+  /// changes no legacy metric.
+  static constexpr sim::Traffic kLoadCategories[] = {
+      sim::Traffic::kConfirm,   sim::Traffic::kAdsRequest,
+      sim::Traffic::kFullAd,    sim::Traffic::kPatchAd,
+      sim::Traffic::kRefreshAd, sim::Traffic::kPackedAd};
+
   std::string name() const override;
+  std::span<const sim::Traffic> load_categories() const override {
+    return kLoadCategories;
+  }
   void warm_up(Seconds duration) override;
   void on_trace_event(const trace::TraceEvent& event) override;
   std::uint64_t state_bytes() const override;
@@ -229,6 +240,8 @@ class AsapProtocol final : public search::SearchAlgorithm {
     // Superpeer placement telemetry (zero when flat).
     std::uint64_t proxy_uploads = 0;  ///< leaf -> proxy ad transfers
     std::uint64_t proxy_queries = 0;  ///< leaf -> proxy search requests
+
+    bool operator==(const Counters&) const = default;
   };
   const Counters& counters() const { return counters_; }
   const AsapParams& params() const { return params_; }

@@ -57,18 +57,34 @@ std::uint64_t trial_seed_salt(std::uint32_t trial) {
 }
 
 std::vector<sim::Traffic> load_categories(AlgoKind k) {
-  if (is_asap(k)) {
-    // kPackedAd is always zero for the vanilla variants, so listing it
-    // changes no legacy metric (zero-byte categories contribute nothing
-    // to load or breakdown shares).
-    return {sim::Traffic::kConfirm, sim::Traffic::kAdsRequest,
-            sim::Traffic::kFullAd, sim::Traffic::kPatchAd,
-            sim::Traffic::kRefreshAd, sim::Traffic::kPackedAd};
-  }
-  return {sim::Traffic::kQuery};
+  const std::span<const sim::Traffic> cats =
+      is_asap(k) ? std::span<const sim::Traffic>(
+                       ads::AsapProtocol::kLoadCategories)
+                 : search::BaselineSearch::kLoadCategories;
+  return {cats.begin(), cats.end()};
 }
 
 namespace {
+
+/// Applies a fault config's hardening and defense knobs to ASAP. They
+/// ride the fault config so a faults-off run keeps the legacy protocol
+/// behaviour bit for bit (0 / off = protocol default).
+void harden(ads::AsapParams& params, const faults::FaultConfig& f) {
+  if (f.confirm_attempts > 0) params.confirm_max_attempts = f.confirm_attempts;
+  if (f.stale_strikes > 0) params.stale_timeout_strikes = f.stale_strikes;
+  if (f.confirm_backoff > 0.0) params.confirm_retry_backoff = f.confirm_backoff;
+  if (f.trust_enabled) {
+    params.trust_enabled = true;
+    params.trust_reward = f.trust_reward;
+    params.trust_strike_decay = f.trust_strike_decay;
+    params.trust_quarantine_threshold = f.trust_quarantine_threshold;
+    params.trust_quarantine_backoff = f.trust_quarantine_backoff;
+  }
+  if (f.trust_fill_gate > 0.0) params.trust_fill_gate = f.trust_fill_gate;
+  if (f.strike_per_chain) params.strike_per_chain = true;
+  if (f.pending_query_cap > 0) params.pending_query_cap = f.pending_query_cap;
+  if (f.ttl_clamp_depth > 0) params.ttl_clamp_depth = f.ttl_clamp_depth;
+}
 
 search::Scheme scheme_of(AlgoKind k) {
   switch (k) {
@@ -114,6 +130,24 @@ ads::AsapParams default_asap_params(AlgoKind k, Preset preset) {
 }
 
 RunResult run_experiment(const World& world, AlgoKind kind,
+                         const RunOptions& opts) {
+  const Preset preset = world.cfg.preset;
+  return run_experiment(
+      world,
+      [&](search::Ctx& ctx) -> std::unique_ptr<search::SearchAlgorithm> {
+        if (!is_asap(kind)) {
+          return std::make_unique<search::BaselineSearch>(
+              ctx, opts.baseline.value_or(
+                       default_baseline_params(kind, preset)));
+        }
+        auto params = opts.asap.value_or(default_asap_params(kind, preset));
+        if (ctx.faults != nullptr) harden(params, ctx.faults->plan().config());
+        return std::make_unique<ads::AsapProtocol>(ctx, params);
+      },
+      opts);
+}
+
+RunResult run_experiment(const World& world, const ProtocolFactory& make,
                          const RunOptions& opts) {
   const auto wall_start = std::chrono::steady_clock::now();
   const auto& cfg = world.cfg;
@@ -185,48 +219,8 @@ RunResult run_experiment(const World& world, AlgoKind kind,
     ctx.faults = injector.get();
   }
 
-  std::unique_ptr<search::SearchAlgorithm> algo;
-  if (is_asap(kind)) {
-    auto params = opts.asap.value_or(default_asap_params(kind, cfg.preset));
-    if (faults_on) {
-      // Hardening knobs ride the fault config so a faults-off run keeps
-      // the legacy protocol behaviour bit for bit (0 = protocol default).
-      if (fault_cfg.confirm_attempts > 0) {
-        params.confirm_max_attempts = fault_cfg.confirm_attempts;
-      }
-      if (fault_cfg.stale_strikes > 0) {
-        params.stale_timeout_strikes = fault_cfg.stale_strikes;
-      }
-      if (fault_cfg.confirm_backoff > 0.0) {
-        params.confirm_retry_backoff = fault_cfg.confirm_backoff;
-      }
-      // Defense knobs (PR: adversarial resilience). Same contract as the
-      // hardening knobs above: all-default means bit-identical runs.
-      if (fault_cfg.trust_enabled) {
-        params.trust_enabled = true;
-        params.trust_reward = fault_cfg.trust_reward;
-        params.trust_strike_decay = fault_cfg.trust_strike_decay;
-        params.trust_quarantine_threshold =
-            fault_cfg.trust_quarantine_threshold;
-        params.trust_quarantine_backoff = fault_cfg.trust_quarantine_backoff;
-      }
-      if (fault_cfg.trust_fill_gate > 0.0) {
-        params.trust_fill_gate = fault_cfg.trust_fill_gate;
-      }
-      if (fault_cfg.strike_per_chain) params.strike_per_chain = true;
-      if (fault_cfg.pending_query_cap > 0) {
-        params.pending_query_cap = fault_cfg.pending_query_cap;
-      }
-      if (fault_cfg.ttl_clamp_depth > 0) {
-        params.ttl_clamp_depth = fault_cfg.ttl_clamp_depth;
-      }
-    }
-    algo = std::make_unique<ads::AsapProtocol>(ctx, params);
-  } else {
-    const auto params =
-        opts.baseline.value_or(default_baseline_params(kind, cfg.preset));
-    algo = std::make_unique<search::BaselineSearch>(ctx, params);
-  }
+  const std::unique_ptr<search::SearchAlgorithm> algo = make(ctx);
+  ASAP_REQUIRE(algo != nullptr, "protocol factory returned no protocol");
   if (faults_on) {
     algo->set_fault_onset(plan->first_fault_time());
     if (plan->storm_queries().empty()) {
@@ -327,7 +321,7 @@ RunResult run_experiment(const World& world, AlgoKind kind,
   }
 
   const auto live_series = liveness.live_count_series(horizon);
-  const auto cats = load_categories(kind);
+  const auto cats = algo->load_categories();
   res.load = metrics::reduce_load(
       ledger, cats, live_series,
       static_cast<std::uint32_t>(res.measure_start),
@@ -335,9 +329,8 @@ RunResult run_experiment(const World& world, AlgoKind kind,
   res.breakdown = metrics::category_breakdown(
       ledger, cats, static_cast<std::uint32_t>(res.measure_start),
       static_cast<std::uint32_t>(std::ceil(res.measure_end)));
-  if (is_asap(kind)) {
-    res.asap_counters =
-        static_cast<ads::AsapProtocol*>(algo.get())->counters();
+  if (const auto* asap = dynamic_cast<const ads::AsapProtocol*>(algo.get())) {
+    res.asap_counters = asap->counters();
     res.asap = true;
     for (const auto& share : res.breakdown) {
       switch (share.category) {

@@ -1,8 +1,9 @@
 // Trace replay: runs one system under test against a World and reduces
-// the paper's metrics.
+// the paper's metrics, through one loop for every protocol.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -68,13 +69,13 @@ bool is_asap(AlgoKind k);
 /// indices land in uncorrelated streams.
 std::uint64_t trial_seed_salt(std::uint32_t trial);
 
-/// Traffic categories that count toward system load for this algorithm
-/// (paper §V-B: baselines count query messages; ASAP counts ad deliveries
-/// plus confirmation and ads-request traffic).
+/// Traffic categories that count toward system load for this algorithm:
+/// the load_categories() of the protocol run_experiment builds for it.
 std::vector<sim::Traffic> load_categories(AlgoKind k);
 
 struct RunOptions {
-  /// Override the preset-derived parameters (ablation benches).
+  /// Override the preset-derived parameters of the built-in systems
+  /// (ablation benches). A run from a ProtocolFactory ignores them.
   std::optional<search::BaselineParams> baseline;
   std::optional<ads::AsapParams> asap;
   /// Failure injection: probability any overlay transmission is lost, in
@@ -181,7 +182,18 @@ struct RunResult {
 search::BaselineParams default_baseline_params(AlgoKind k, Preset preset);
 ads::AsapParams default_asap_params(AlgoKind k, Preset preset);
 
-/// Replays the world's trace against one algorithm.
+/// Builds a run's protocol against its context; called once, with the
+/// auditor, observer and fault injector in place, before warm-up.
+using ProtocolFactory =
+    std::function<std::unique_ptr<search::SearchAlgorithm>(search::Ctx&)>;
+
+/// Replays the world's trace against the protocol `make` builds: per-run
+/// state, faults, audit and observer, the trace loop and the reduce.
+RunResult run_experiment(const World& world, const ProtocolFactory& make,
+                         const RunOptions& opts = {});
+
+/// Replays the world's trace against one built-in system: BaselineSearch,
+/// or AsapProtocol with the fault config's hardening and defense knobs.
 RunResult run_experiment(const World& world, AlgoKind kind,
                          const RunOptions& opts = {});
 

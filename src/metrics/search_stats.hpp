@@ -48,8 +48,6 @@ class SearchStats {
   /// Mean number of results per search (all searches).
   double avg_results() const { return results_.mean(); }
 
-  const RunningStats& response_time_stats() const { return response_time_; }
-  const RunningStats& cost_stats() const { return cost_; }
   /// Raw response-time samples (successful searches), for percentiles.
   const std::vector<double>& response_samples() const {
     return response_samples_;

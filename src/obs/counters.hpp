@@ -139,8 +139,6 @@ class CounterRegistry {
   }
   void count_fault_injected() { ++faults_injected_; }
 
-  std::uint64_t faults_injected() const { return faults_injected_; }
-
   const CategoryCounters& category(sim::Traffic t) const {
     return categories_[static_cast<std::size_t>(t)];
   }

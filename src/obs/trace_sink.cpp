@@ -4,36 +4,6 @@
 
 namespace asap::obs {
 
-const char* record_kind_name(RecordKind k) {
-  switch (k) {
-    case RecordKind::kQuery:
-      return "query";
-    case RecordKind::kAd:
-      return "ad";
-    case RecordKind::kConfirm:
-      return "confirm";
-    case RecordKind::kChurn:
-      return "churn";
-    case RecordKind::kFault:
-      return "fault";
-    case RecordKind::kRetry:
-      return "retry";
-    case RecordKind::kStaleEvict:
-      return "stale-evict";
-    case RecordKind::kAdRound:
-      return "ad-round";
-    case RecordKind::kTrustStrike:
-      return "trust-strike";
-    case RecordKind::kQuarantine:
-      return "quarantine";
-    case RecordKind::kQueryShed:
-      return "query-shed";
-    case RecordKind::kCount:
-      break;
-  }
-  return "?";
-}
-
 TraceSink::TraceSink(std::ostream& out, std::uint64_t sample_every)
     : out_(out), sample_every_(sample_every) {
   ASAP_REQUIRE(sample_every >= 1, "trace sample period must be >= 1");

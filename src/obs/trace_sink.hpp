@@ -38,8 +38,6 @@ enum class RecordKind : std::uint8_t {
 inline constexpr std::size_t kRecordKindCount =
     static_cast<std::size_t>(RecordKind::kCount);
 
-const char* record_kind_name(RecordKind k);
-
 class TraceSink {
  public:
   /// @param out           stream the JSONL lines are appended to; not owned.

@@ -8,9 +8,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "metrics/search_stats.hpp"
+#include "sim/bandwidth.hpp"
 #include "trace/trace.hpp"
 
 namespace asap::search {
@@ -32,6 +34,11 @@ class SearchAlgorithm {
   /// timers) the algorithm owns right now. Stateless baselines report 0.
   /// Read by the harness for the scale-bench bytes/node accounting.
   virtual std::uint64_t state_bytes() const { return 0; }
+
+  /// Traffic categories that count toward this protocol's system load
+  /// (paper §V-B). The harness reduces load and the Fig 7 breakdown over
+  /// exactly these.
+  virtual std::span<const sim::Traffic> load_categories() const = 0;
 
   metrics::SearchStats& stats() { return stats_; }
   const metrics::SearchStats& stats() const { return stats_; }

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,7 +42,14 @@ class BaselineSearch final : public SearchAlgorithm {
  public:
   BaselineSearch(Ctx& ctx, BaselineParams params);
 
+  /// Query messages only: responses are tracked but, as in the paper,
+  /// excluded from load (§V-B).
+  static constexpr sim::Traffic kLoadCategories[] = {sim::Traffic::kQuery};
+
   std::string name() const override;
+  std::span<const sim::Traffic> load_categories() const override {
+    return kLoadCategories;
+  }
   void on_trace_event(const trace::TraceEvent& event) override;
 
  private:

@@ -117,8 +117,11 @@ void GossipIndexSearch::on_trace_event(const trace::TraceEvent& ev) {
 
 void GossipIndexSearch::run_query(const trace::TraceEvent& ev) {
   const NodeId p = ev.node;
+  // A crash-stop node sends no query, as in every other protocol.
+  if (ctx_.faults != nullptr && ctx_.faults->crashed(p, ev.time)) return;
   const auto terms = ev.term_span();
   metrics::SearchRecord rec;
+  rec.issued_at = ev.time;  // attributes the search to the fault windows
 
   // Hash once, then test every directory filter with pure bit probes.
   const bloom::HashedQuery& query = ctx_.hash_query(terms);

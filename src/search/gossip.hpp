@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,7 +44,14 @@ class GossipIndexSearch final : public SearchAlgorithm {
  public:
   GossipIndexSearch(Ctx& ctx, GossipParams params);
 
+  /// The epidemic filter replication and the confirmations it triggers.
+  static constexpr sim::Traffic kLoadCategories[] = {sim::Traffic::kFullAd,
+                                                     sim::Traffic::kConfirm};
+
   std::string name() const override { return "gossip(planetp)"; }
+  std::span<const sim::Traffic> load_categories() const override {
+    return kLoadCategories;
+  }
   void warm_up(Seconds duration) override;
   void on_trace_event(const trace::TraceEvent& event) override;
 

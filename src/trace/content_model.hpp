@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -105,11 +104,6 @@ class ContentModel {
 
  private:
   std::vector<KeywordId> make_keywords(TopicId cls, Rng& rng);
-
-  // Binary persistence (trace/trace_io.hpp) reconstructs models directly.
-  friend std::vector<std::uint8_t> serialize_content(const ContentModel&);
-  friend ContentModel deserialize_content(
-      std::span<const std::uint8_t> data);
 
   ContentModelParams params_;
   std::vector<Document> corpus_;

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "../support/test_world.hpp"
+#include "faults/fault_config.hpp"
 #include "harness/world.hpp"
+#include "search/gossip.hpp"
 
 namespace asap::harness {
 namespace {
@@ -32,6 +38,88 @@ class ReplayTest : public ::testing::Test {
 };
 
 World* ReplayTest::world_ = nullptr;
+
+/// Two results are the same run: digest, search stats, load, breakdown
+/// and ASAP counters all match exactly.
+void expect_same_run(const RunResult& a, const RunResult& b) {
+  EXPECT_EQ(a.algo, b.algo);
+  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.search.successes(), b.search.successes());
+  EXPECT_EQ(a.search.local_hit_rate(), b.search.local_hit_rate());
+  EXPECT_EQ(a.search.avg_cost_bytes(), b.search.avg_cost_bytes());
+  EXPECT_EQ(a.search.avg_messages(), b.search.avg_messages());
+  EXPECT_EQ(a.search.avg_results(), b.search.avg_results());
+  EXPECT_EQ(a.search.response_samples(), b.search.response_samples());
+  EXPECT_EQ(a.load.series, b.load.series);  // and so every summary of it
+  ASSERT_EQ(a.breakdown.size(), b.breakdown.size());
+  for (std::size_t i = 0; i < a.breakdown.size(); ++i) {
+    EXPECT_EQ(a.breakdown[i].category, b.breakdown[i].category);
+    EXPECT_EQ(a.breakdown[i].bytes, b.breakdown[i].bytes);
+  }
+  EXPECT_TRUE(a.asap_counters == b.asap_counters);
+}
+
+RunResult run_gossip(const World& world, RunOptions opts) {
+  opts.audit = true;
+  return run_experiment(
+      world,
+      [](search::Ctx& ctx) {
+        return std::make_unique<search::GossipIndexSearch>(
+            ctx, search::GossipParams{});
+      },
+      opts);
+}
+
+TEST_F(ReplayTest, FactoryRunsReproduceBuiltInSystems) {
+  const Preset preset = world_->cfg.preset;
+  const ProtocolFactory flooding = [&](search::Ctx& ctx) {
+    return std::make_unique<search::BaselineSearch>(
+        ctx, default_baseline_params(AlgoKind::kFlooding, preset));
+  };
+  const ProtocolFactory asap_rw = [&](search::Ctx& ctx) {
+    return std::make_unique<ads::AsapProtocol>(
+        ctx, default_asap_params(AlgoKind::kAsapRw, preset));
+  };
+  expect_same_run(run_experiment(*world_, flooding),
+                  run_experiment(*world_, AlgoKind::kFlooding));
+  expect_same_run(run_experiment(*world_, asap_rw),
+                  run_experiment(*world_, AlgoKind::kAsapRw));
+}
+
+TEST_F(ReplayTest, GossipRunsThroughTheOneLoop) {
+  const auto res = run_gossip(*world_, {});
+  EXPECT_EQ(res.algo, "gossip(planetp)");
+  EXPECT_TRUE(res.audited);
+  EXPECT_EQ(res.audit_violations, 0u);
+  // Load is the epidemic replication plus the confirms, nothing else.
+  ASSERT_EQ(res.breakdown.size(), 2u);
+  EXPECT_EQ(res.breakdown[0].category, sim::Traffic::kFullAd);
+  EXPECT_EQ(res.breakdown[1].category, sim::Traffic::kConfirm);
+  // Pinned from a bare replay loop (no faults, audit or observer) driving
+  // the comparator on this world: the one loop must reproduce it.
+  EXPECT_EQ(res.search.total(), 600u);
+  EXPECT_EQ(res.search.successes(), 572u);
+  EXPECT_DOUBLE_EQ(res.search.avg_cost_bytes(), 294.70000000000027);
+  EXPECT_DOUBLE_EQ(res.load.mean_bytes_per_node_per_sec, 1026.6234400246944);
+}
+
+TEST_F(ReplayTest, GossipUnderFaultsAuditsCleanAndRepeats) {
+  RunOptions opts;
+  for (const char* preset : {"churn", "lossy", "byzantine"}) {
+    opts.faults = faults::fault_preset(preset).config;
+    const auto res = run_gossip(*world_, opts);
+    EXPECT_TRUE(res.faults.enabled) << preset;
+    EXPECT_EQ(res.audit_violations, 0u) << preset;
+  }
+  opts.faults = faults::fault_preset("churn").config;
+  const auto a = run_gossip(*world_, opts);
+  EXPECT_GT(a.faults.crashes, 0u);
+  EXPECT_GT(a.faults.queries_after_onset, 0u);
+  // Crashed requesters send no query: the same queries as a baseline.
+  EXPECT_EQ(a.search.total(),
+            run_experiment(*world_, AlgoKind::kFlooding, opts).search.total());
+  EXPECT_EQ(a.digest, run_gossip(*world_, opts).digest);
+}
 
 TEST_F(ReplayTest, WorldIsConsistent) {
   EXPECT_EQ(world_->node_phys.size(), world_->model.total_node_slots());
@@ -129,6 +217,22 @@ TEST(ReplayHelpers, AlgoNamesAndCategories) {
   EXPECT_EQ(load_categories(AlgoKind::kFlooding).size(), 1u);
   // ASAP counts confirm + ads-request + full/patch/refresh/packed ads.
   EXPECT_EQ(load_categories(AlgoKind::kAsapRw).size(), 6u);
+  // Each list is the one the built protocol names.
+  testing::TestWorld w;
+  for (const auto k : kExtendedAlgos) {
+    std::unique_ptr<search::SearchAlgorithm> algo;
+    if (is_asap(k)) {
+      algo = std::make_unique<ads::AsapProtocol>(
+          w.ctx, default_asap_params(k, Preset::kSmall));
+    } else {
+      algo = std::make_unique<search::BaselineSearch>(
+          w.ctx, default_baseline_params(k, Preset::kSmall));
+    }
+    const auto named = algo->load_categories();
+    EXPECT_EQ(load_categories(k),
+              std::vector<sim::Traffic>(named.begin(), named.end()))
+        << algo_name(k);
+  }
   EXPECT_THROW(default_baseline_params(AlgoKind::kAsapRw, Preset::kSmall),
                ConfigError);
   EXPECT_THROW(default_asap_params(AlgoKind::kFlooding, Preset::kSmall),

@@ -1,4 +1,4 @@
-#include "common/codec.hpp"
+#include "wire/codec.hpp"
 
 #include <gtest/gtest.h>
 

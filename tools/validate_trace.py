@@ -5,11 +5,14 @@ Usage: validate_trace.py FILE [FILE...]
 
 Each line must be a standalone JSON object whose "type" selects a record
 schema. Trace files carry query/ad/confirm/churn spans; counter files
-carry counters snapshots and node-counters rows. Exits nonzero on the
-first malformed file and prints a per-file record summary otherwise.
+carry counters snapshots and node-counters rows. A line that is not
+UTF-8 or not strict JSON (NaN, Infinity or a number too large to be
+finite) is malformed too. Exits 1 with a FILE:LINE message on the first
+malformed line and prints a per-file record summary otherwise.
 """
 import collections
 import json
+import math
 import sys
 
 NUM = (int, float)
@@ -71,28 +74,40 @@ ENUMS = {
 }
 
 
+def finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def validate_file(path):
     counts = collections.Counter()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, 1):
+            raw = raw.rstrip(b"\n")
+            line = raw.decode("utf-8", "replace")
 
             def fail(msg):
                 sys.exit(f"{path}:{lineno}: {msg}\n  {line}")
 
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
+                rec = json.loads(raw.decode("utf-8"), parse_constant=finite,
+                                 parse_float=finite)
+            except UnicodeDecodeError as e:
+                fail(f"not valid UTF-8: {e.reason} at byte {e.start}")
+            except (ValueError, RecursionError) as e:
                 fail(f"not valid JSON: {e}")
             if not isinstance(rec, dict):
                 fail("record is not a JSON object")
             rtype = rec.get("type")
-            schema = SCHEMAS.get(rtype)
+            schema = SCHEMAS.get(rtype) if isinstance(rtype, str) else None
             if schema is None:
                 fail(f"unknown record type {rtype!r}")
             # node-counters rows are emitted by finalize() without a time.
             if rtype != "node-counters":
-                if not isinstance(rec.get("t"), NUM) or rec["t"] < 0:
+                t = rec.get("t")
+                if isinstance(t, bool) or not isinstance(t, NUM) or t < 0:
                     fail("missing or negative virtual time 't'")
             for field, types in schema.items():
                 value = rec.get(field)
