@@ -29,6 +29,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -59,22 +60,6 @@ struct Args {
   std::vector<AlgoKind> algos;
 };
 
-std::vector<std::uint32_t> parse_scales(const std::string& csv) {
-  std::vector<std::uint32_t> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const auto comma = csv.find(',', pos);
-    const auto tok = csv.substr(pos, comma == std::string::npos
-                                         ? std::string::npos
-                                         : comma - pos);
-    out.push_back(static_cast<std::uint32_t>(std::stoul(tok)));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  ASAP_REQUIRE(!out.empty(), "--scales needs at least one value");
-  return out;
-}
-
 Args parse_args(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
@@ -83,27 +68,27 @@ Args parse_args(int argc, char** argv) {
       ASAP_REQUIRE(i + 1 < argc, flag + " needs a value");
       return argv[++i];
     };
+    const auto count32 = [&](const std::string& text) {
+      return static_cast<std::uint32_t>(parse_count(
+          flag, text, std::numeric_limits<std::uint32_t>::max()));
+    };
     if (flag == "--scales") {
-      a.scales = parse_scales(next());
+      a.scales.clear();
+      for (const auto& tok : split_list(next())) {
+        a.scales.push_back(count32(tok));
+      }
     } else if (flag == "--queries") {
-      a.queries = static_cast<std::uint32_t>(std::stoul(next()));
+      a.queries = count32(next());
     } else if (flag == "--seed") {
-      a.seed = std::stoull(next());
+      a.seed = parse_count(flag, next(),
+                           std::numeric_limits<std::uint64_t>::max());
     } else if (flag == "--json") {
       a.json_path = next();
     } else if (flag == "--algos") {
-      const auto csv = next();
-      std::size_t pos = 0;
-      while (pos < csv.size()) {
-        const auto comma = csv.find(',', pos);
-        const auto tok = csv.substr(pos, comma == std::string::npos
-                                             ? std::string::npos
-                                             : comma - pos);
+      for (const auto& tok : split_list(next())) {
         const auto kind = algo_from_name(tok);
         ASAP_REQUIRE(kind.has_value(), "unknown algorithm: " + tok);
         a.algos.push_back(*kind);
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
       }
     } else {
       std::cerr << "unknown flag: " << flag << "\n";

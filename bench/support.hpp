@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -48,20 +49,25 @@ inline BenchArgs BenchArgs::parse(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto count32 = [&] {
+      return static_cast<std::uint32_t>(harness::parse_count(
+          flag, next(), std::numeric_limits<std::uint32_t>::max()));
+    };
     if (flag == "--preset") {
       const auto v = next();
       const auto preset = harness::preset_from_name(v);
       if (!preset) throw ConfigError("unknown preset: " + v);
       args.preset = *preset;
     } else if (flag == "--seed") {
-      args.seed = std::stoull(next());
+      args.seed = harness::parse_count(
+          flag, next(), std::numeric_limits<std::uint64_t>::max());
     } else if (flag == "--queries") {
-      args.queries_override =
-          static_cast<std::uint32_t>(std::stoul(next()));
+      args.queries_override = count32();
     } else if (flag == "--jobs") {
-      args.jobs = std::stoul(next());
+      args.jobs = harness::parse_count(
+          flag, next(), std::numeric_limits<std::size_t>::max());
     } else if (flag == "--trials") {
-      args.trials = static_cast<std::uint32_t>(std::stoul(next()));
+      args.trials = count32();
       if (args.trials == 0) throw ConfigError("--trials must be >= 1");
     } else if (flag == "--topology") {
       args.topologies = harness::topologies_from_list(next());

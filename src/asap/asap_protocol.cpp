@@ -12,7 +12,22 @@ namespace asap::ads {
 
 namespace {
 constexpr Seconds kInfTime = std::numeric_limits<Seconds>::infinity();
-}
+/// ASAP(FLD) refresh beacons flood shallower than full and patch ads.
+constexpr std::uint32_t kRefreshFloodTtl = 3;
+/// Upper bound on one ad-delivery walk; larger budgets run more walkers in
+/// parallel. Bounds the virtual-time span of one delivery (~kMaxWalkHops *
+/// mean hop latency) so deliveries finish promptly.
+constexpr std::uint64_t kMaxWalkHops = 600;
+/// Ads per failure-path ads-request reply, and the topical
+/// (non-term-matching) share of them.
+constexpr std::uint32_t kAdsReplyMax = 16;
+constexpr std::uint32_t kAdsReplyTopicalMax = 8;
+/// Confirmations per lookup round.
+constexpr std::uint32_t kMaxConfirms = 8;
+/// Byte budget for confirm retries per confirm round, so total-loss
+/// scenarios terminate with bounded cost.
+constexpr Bytes kConfirmRetryBudget = 4'096;
+}  // namespace
 
 AsapParams AsapParams::paper(search::Scheme s) {
   AsapParams p;
@@ -94,13 +109,7 @@ AsapProtocol::AsapProtocol(search::Ctx& ctx, AsapParams params)
     for (auto& c : caches_) c.set_fill_gate(params_.trust_fill_gate);
   }
   if (overload_enabled()) pending_.resize(slots);
-  if (adaptive()) {
-    AdSchedulerParams sp;
-    sp.round_budget = params_.ad_round_budget;
-    sp.stable_after = params_.ad_stable_after;
-    sp.very_stable_after = params_.ad_very_stable_after;
-    scheds_.assign(slots, AdScheduler(sp));
-  }
+  if (adaptive()) scheds_.assign(slots, AdScheduler(AdSchedulerParams{}));
 }
 
 std::uint64_t AsapProtocol::state_bytes() const {
@@ -258,16 +267,14 @@ search::PropagationStats AsapProtocol::disseminate(
   if (hier_) mesh.emplace(ctx_, hier_->mesh());
   switch (params_.scheme) {
     case search::Scheme::kFlooding: {
-      const auto ttl =
-          refresh_only ? params_.refresh_flood_ttl : params_.flood_ttl;
+      const auto ttl = refresh_only ? kRefreshFloodTtl : params_.flood_ttl;
       return search::flood(ctx_, origin, when, ttl, msg_size, cat, visit);
     }
     case search::Scheme::kRandomWalk: {
       const auto budget = delivery_budget(lead.topics.size(), scale);
-      // Enough walkers that no single walk exceeds max_walk_hops.
+      // Enough walkers that no single walk exceeds kMaxWalkHops.
       const auto walkers = std::max<std::uint64_t>(
-          params_.walkers,
-          (budget + params_.max_walk_hops - 1) / params_.max_walk_hops);
+          params_.walkers, (budget + kMaxWalkHops - 1) / kMaxWalkHops);
       const auto per_walker = std::max<std::uint64_t>(1, budget / walkers);
       if (params_.interest_bias > 1.0) {
         auto weight = [&](NodeId v) {
@@ -660,9 +667,9 @@ Seconds AsapProtocol::confirm_round(NodeId requester, NodeId owner,
   std::uint32_t sent = 0;
   const std::uint32_t max_attempts =
       std::max<std::uint32_t>(1, params_.confirm_max_attempts);
-  Bytes retry_budget_left = params_.confirm_retry_budget;
+  Bytes retry_budget_left = kConfirmRetryBudget;
   for (const auto& ad : candidates) {
-    if (sent >= params_.max_confirms) break;
+    if (sent >= kMaxConfirms) break;
     const NodeId s = ad->source;
     if (s == p) continue;
     ++sent;
@@ -679,10 +686,8 @@ Seconds AsapProtocol::confirm_round(NodeId requester, NodeId owner,
       if (attempt > 1) {
         // Retries share a per-round byte budget so a fully-lossy network
         // still terminates with bounded cost.
-        if (params_.confirm_retry_budget != 0) {
-          if (retry_budget_left < ctx_.sizes.confirm_request) break;
-          retry_budget_left -= ctx_.sizes.confirm_request;
-        }
+        if (retry_budget_left < ctx_.sizes.confirm_request) break;
+        retry_budget_left -= ctx_.sizes.confirm_request;
         ++counters_.confirm_retries;
         counters_.retry_bytes += ctx_.sizes.confirm_request;
         ASAP_OBS_HOOK(ctx_.obs, on_confirm_retry(p));
@@ -823,9 +828,9 @@ Seconds AsapProtocol::ads_request_phase(
   Seconds done = start;
 
   const std::uint32_t total_cap =
-      query.empty() ? params_.join_reply_max : params_.ads_reply_max;
+      query.empty() ? params_.join_reply_max : kAdsReplyMax;
   const std::uint32_t topical_cap =
-      query.empty() ? params_.join_reply_max : params_.ads_reply_topical_max;
+      query.empty() ? params_.join_reply_max : kAdsReplyTopicalMax;
   auto visit = [&](NodeId v, Seconds t, std::uint32_t) {
     caches_[v].collect_for_reply(query, interests, total_cap, topical_cap,
                                  reply_scratch_);
@@ -888,7 +893,7 @@ void AsapProtocol::rank_by_trust(NodeId owner,
                                  std::vector<AdPayloadPtr>& ads) const {
   const AdCache& cache = caches_[owner];
   if (!cache.trust_enabled() || ads.size() < 2) return;
-  // Confirm the most trustworthy sources first, so the max_confirms budget
+  // Confirm the most trustworthy sources first, so the kMaxConfirms budget
   // is not burned on known polluters. stable_sort keeps the deterministic
   // cache-scan order for equal trust.
   std::stable_sort(ads.begin(), ads.end(),

@@ -56,16 +56,11 @@ struct AsapParams {
   /// Ad forwarding scheme: ASAP(FLD) / ASAP(RW) / ASAP(GSA).
   search::Scheme scheme = search::Scheme::kRandomWalk;
   std::uint32_t flood_ttl = 6;        // full/patch ad floods (ASAP(FLD))
-  std::uint32_t refresh_flood_ttl = 3;  // refresh beacons flood shallower
   std::uint32_t walkers = 5;
 
   /// Budget unit M0: one full-ad delivery gets |T(a)| * M0 messages
   /// (paper §IV-A; applies to the RW and GSA schemes).
   std::uint64_t budget_unit_m0 = 3'000;
-  /// Upper bound on a single ad-delivery walk; larger budgets run more
-  /// walkers in parallel. Bounds the virtual-time span of one delivery
-  /// (~max_walk_hops * mean hop latency) so deliveries finish promptly.
-  std::uint64_t max_walk_hops = 600;
   /// Budget scale for full ads sent after warm-up (joins, large changes).
   double join_budget_scale = 0.05;
   /// Budget scale for patch-ad deliveries.
@@ -76,14 +71,10 @@ struct AsapParams {
   Seconds refresh_period = 120.0;
 
   std::uint32_t ads_request_hops = 1;  // h (paper default 1)
-  std::uint32_t ads_reply_max = 16;    // cap on ads per failure-path reply
-  /// Topical (non-term-matching) ads per failure-path reply.
-  std::uint32_t ads_reply_topical_max = 8;
   /// Cap on ads per reply to a join-time warm-up request (no query terms,
   /// so the whole reply is topical bulk).
   std::uint32_t join_reply_max = 64;
   std::uint32_t cache_capacity = 1'500;
-  std::uint32_t max_confirms = 8;      // confirmations per lookup round
   /// Positive confirmations the requester wants (paper Table I: "if more
   /// responses needed" widens the search with an ads request even after a
   /// local hit).
@@ -110,19 +101,11 @@ struct AsapParams {
   /// Base backoff before a confirm retry: attempt k (k >= 2) starts
   /// backoff * 2^(k-2) seconds after the previous attempt's timeout.
   Seconds confirm_retry_backoff = 1.0;
-  /// Byte budget for confirm retries per confirm round (0 = unlimited),
-  /// so total-loss scenarios terminate with bounded cost.
-  Bytes confirm_retry_budget = 4'096;
 
   // --- adaptive advertisement scheduling (kVanilla = legacy) ------------
+  /// Adaptive and delta rounds run on the refresh period with
+  /// AdSchedulerParams' defaults (asap/ad_scheduler.hpp).
   AdMode ad_mode = AdMode::kVanilla;
-  /// Byte budget one packed ad-round frame may fill (adaptive/delta). The
-  /// refresh period doubles as the round period.
-  Bytes ad_round_budget = 1'200;
-  /// Unchanged emissions before an ad decays to every 2nd / every 4th
-  /// round (AdSchedulerParams).
-  std::uint32_t ad_stable_after = 2;
-  std::uint32_t ad_very_stable_after = 4;
   /// Re-admission backoff after a stale-strike eviction: the evicted
   /// source's ads are dropped for this long so an in-flight walker cannot
   /// re-admit the just-evicted stale ad in the same tick. 0 = legacy.

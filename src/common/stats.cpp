@@ -49,33 +49,6 @@ double RunningStats::population_stddev() const {
   return std::sqrt(population_variance());
 }
 
-Histogram::Histogram(double lo, double hi, std::uint32_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / bins), counts_(bins, 0) {
-  ASAP_REQUIRE(hi > lo, "histogram range must be non-empty");
-  ASAP_REQUIRE(bins >= 1, "histogram needs at least one bin");
-}
-
-void Histogram::add(double x, std::uint64_t weight) {
-  total_ += weight;
-  if (x < lo_) {
-    underflow_ += weight;
-    return;
-  }
-  if (x >= hi_) {
-    overflow_ += weight;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  // Floating-point division can round x just under hi_ up to bins(); keep
-  // such samples in the last bin rather than walking off the array.
-  if (idx >= counts_.size()) idx = counts_.size() - 1;
-  counts_[idx] += weight;
-}
-
-double Histogram::bin_lo(std::uint32_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
 double percentile_sorted(std::span<const double> sorted, double q) {
   ASAP_REQUIRE(!sorted.empty(), "percentile of empty sample set");
   ASAP_REQUIRE(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");

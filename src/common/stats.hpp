@@ -18,7 +18,7 @@ class RunningStats {
   double mean() const { return n_ ? mean_ : 0.0; }
   /// Bessel-corrected sample variance (denominator n-1) — the unbiased
   /// estimator appropriate when the samples are trials drawn from a wider
-  /// population, which is how aggregate.hpp summarizes per-trial metrics.
+  /// population, which is how the matrix runner summarizes per-trial metrics.
   /// 0 for fewer than 2 samples.
   double variance() const;
   double stddev() const;
@@ -36,36 +36,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-width linear histogram over [lo, hi). Out-of-range samples are
-/// tallied in dedicated underflow/overflow cells rather than clamped into
-/// the boundary bins, so the edge bins report only genuinely in-range
-/// samples; total() still counts everything.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::uint32_t bins);
-
-  void add(double x, std::uint64_t weight = 1);
-
-  std::uint32_t bins() const { return static_cast<std::uint32_t>(counts_.size()); }
-  std::uint64_t bin_count(std::uint32_t i) const { return counts_.at(i); }
-  double bin_lo(std::uint32_t i) const;
-  double bin_hi(std::uint32_t i) const { return bin_lo(i + 1); }
-  /// Weight of samples below lo / at-or-above hi.
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-  /// Weight of samples that landed in a bin (excludes under/overflow).
-  std::uint64_t in_range() const { return total_ - underflow_ - overflow_; }
-  /// Everything ever added, in range or not.
-  std::uint64_t total() const { return total_; }
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
 };
 
 /// Exact percentile of an ALREADY ASCENDING-SORTED sample span (q in

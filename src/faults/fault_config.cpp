@@ -218,32 +218,26 @@ json::Value scenario_to_json(const FaultScenario& s) {
   o.emplace_back("confirm_attempts", static_cast<double>(c.confirm_attempts));
   o.emplace_back("stale_strikes", static_cast<double>(c.stale_strikes));
   o.emplace_back("confirm_backoff_s", c.confirm_backoff);
-  // Adversary + defense fields: emitted only when non-default so legacy
-  // scenario files round-trip byte-identically.
-  if (c.adversarial() || c.trust_enabled || c.strike_per_chain ||
-      c.trust_fill_gate > 0 || c.pending_query_cap > 0 ||
-      c.ttl_clamp_depth > 0) {
-    o.emplace_back("polluter_fraction", c.polluter_fraction);
-    o.emplace_back("stale_advertiser_fraction", c.stale_advertiser_fraction);
-    o.emplace_back("confirm_dropper_fraction", c.confirm_dropper_fraction);
-    o.emplace_back("pollution_bits", static_cast<double>(c.pollution_bits));
-    o.emplace_back("storms", static_cast<double>(c.storms));
-    o.emplace_back("storm_duration_s", c.storm_duration);
-    o.emplace_back("storm_emitters", static_cast<double>(c.storm_emitters));
-    o.emplace_back("storm_queries_per_emitter",
-                   static_cast<double>(c.storm_queries_per_emitter));
-    o.emplace_back("storm_hot_terms", static_cast<double>(c.storm_hot_terms));
-    o.emplace_back("trust_enabled", c.trust_enabled);
-    o.emplace_back("trust_reward", c.trust_reward);
-    o.emplace_back("trust_strike_decay", c.trust_strike_decay);
-    o.emplace_back("trust_quarantine_threshold", c.trust_quarantine_threshold);
-    o.emplace_back("trust_quarantine_backoff_s", c.trust_quarantine_backoff);
-    o.emplace_back("trust_fill_gate", c.trust_fill_gate);
-    o.emplace_back("strike_per_chain", c.strike_per_chain);
-    o.emplace_back("pending_query_cap",
-                   static_cast<double>(c.pending_query_cap));
-    o.emplace_back("ttl_clamp_depth", static_cast<double>(c.ttl_clamp_depth));
-  }
+  o.emplace_back("polluter_fraction", c.polluter_fraction);
+  o.emplace_back("stale_advertiser_fraction", c.stale_advertiser_fraction);
+  o.emplace_back("confirm_dropper_fraction", c.confirm_dropper_fraction);
+  o.emplace_back("pollution_bits", static_cast<double>(c.pollution_bits));
+  o.emplace_back("storms", static_cast<double>(c.storms));
+  o.emplace_back("storm_duration_s", c.storm_duration);
+  o.emplace_back("storm_emitters", static_cast<double>(c.storm_emitters));
+  o.emplace_back("storm_queries_per_emitter",
+                 static_cast<double>(c.storm_queries_per_emitter));
+  o.emplace_back("storm_hot_terms", static_cast<double>(c.storm_hot_terms));
+  o.emplace_back("trust_enabled", c.trust_enabled);
+  o.emplace_back("trust_reward", c.trust_reward);
+  o.emplace_back("trust_strike_decay", c.trust_strike_decay);
+  o.emplace_back("trust_quarantine_threshold", c.trust_quarantine_threshold);
+  o.emplace_back("trust_quarantine_backoff_s", c.trust_quarantine_backoff);
+  o.emplace_back("trust_fill_gate", c.trust_fill_gate);
+  o.emplace_back("strike_per_chain", c.strike_per_chain);
+  o.emplace_back("pending_query_cap",
+                 static_cast<double>(c.pending_query_cap));
+  o.emplace_back("ttl_clamp_depth", static_cast<double>(c.ttl_clamp_depth));
   return json::Value(std::move(o));
 }
 

@@ -164,7 +164,10 @@ FaultScenario fault_preset(const std::string& name);
 /// object. Throws ConfigError with a readable message otherwise.
 FaultScenario scenario_from_spec(const std::string& spec);
 
+/// Writes the name and every FaultConfig key.
 json::Value scenario_to_json(const FaultScenario& s);
+/// Reads a scenario object; an absent key keeps its FaultConfig default,
+/// so hand-written scenario files may list only what they change.
 FaultScenario scenario_from_json(const json::Value& v);
 
 }  // namespace asap::faults

@@ -1,6 +1,7 @@
 #include "harness/config.hpp"
 
 #include <algorithm>
+#include <charconv>
 
 #include "common/error.hpp"
 
@@ -46,6 +47,20 @@ std::vector<std::string> split_list(std::string_view list) {
     if (comma == std::string_view::npos) return out;
     list.remove_prefix(comma + 1);
   }
+}
+
+std::uint64_t parse_count(std::string_view flag, std::string_view text,
+                          std::uint64_t max) {
+  // from_chars on an unsigned type takes no sign and no whitespace.
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end || value > max) {
+    throw ConfigError(std::string(flag) + " takes a whole number from 0 to " +
+                      std::to_string(max) + ", got '" + std::string(text) +
+                      "'");
+  }
+  return value;
 }
 
 const char* preset_name(Preset p) {

@@ -42,6 +42,12 @@ std::vector<TopologyKind> topologies_from_list(std::string_view list);
 /// Splits a command-line list at its commas ("a,b" -> {"a", "b"}).
 std::vector<std::string> split_list(std::string_view list);
 
+/// Parses the count a command-line flag takes: decimal digits only, at
+/// most `max`. Anything else ("-1", "12abc", a value past `max`) throws
+/// ConfigError naming `flag`.
+std::uint64_t parse_count(std::string_view flag, std::string_view text,
+                          std::uint64_t max);
+
 const char* preset_name(Preset p);
 /// Inverse of preset_name(); nullopt for unknown names.
 std::optional<Preset> preset_from_name(std::string_view name);

@@ -16,89 +16,58 @@ namespace asap::harness {
 std::vector<std::pair<std::string, double>> headline_metrics(
     const RunResult& r) {
   const auto& s = r.search;
+  const auto& f = r.faults;
+  const auto& c = r.asap_counters;
+  const auto n = [](std::uint64_t v) { return static_cast<double>(v); };
+  // Both ratios read 0 when the run has nothing to divide by.
+  const double stale_hit_rate =
+      c.confirm_requests > 0 ? n(c.confirm_timeouts) / n(c.confirm_requests)
+                             : 0.0;
+  const double time_to_repair =
+      c.repair_refetches > 0 ? c.repair_seconds_sum / n(c.repair_refetches)
+                             : 0.0;
   // response_percentile is defined (0.0) for runs with zero successes.
-  const double p50 = s.response_percentile(0.50);
-  const double p95 = s.response_percentile(0.95);
-  std::vector<std::pair<std::string, double>> out{
+  return {
+      // The paper's measures (§V-A, §V-B).
       {"success_rate", s.success_rate()},
       {"avg_response_s", s.avg_response_time()},
-      {"p50_response_s", p50},
-      {"p95_response_s", p95},
+      {"p50_response_s", s.response_percentile(0.50)},
+      {"p95_response_s", s.response_percentile(0.95)},
       {"avg_cost_bytes", s.avg_cost_bytes()},
       {"avg_results", s.avg_results()},
       {"local_hit_rate", s.local_hit_rate()},
       {"load_mean_Bps", r.load.mean_bytes_per_node_per_sec},
       {"load_stddev_Bps", r.load.stddev_bytes_per_node_per_sec},
       {"load_peak_Bps", r.load.peak_bytes_per_node_per_sec},
+      // Faults and hardening (DESIGN.md §11). Without an armed injector
+      // no search falls after the onset, so the churn pair reads 0.
+      {"success_rate_under_churn", s.success_rate_after_onset()},
+      {"queries_under_churn", n(s.total_after_onset())},
+      {"stale_hit_rate", stale_hit_rate},
+      {"stale_evictions", n(c.stale_evictions)},
+      {"confirm_retries", n(c.confirm_retries)},
+      {"retry_overhead_bytes", n(c.retry_bytes)},
+      {"time_to_repair_s", time_to_repair},
+      {"dead_sends", n(f.dead_sends)},
+      {"fault_drops", n(f.link_drops + f.burst_drops + f.partition_drops)},
+      // Advertisement traffic over the measurement window (0 for the
+      // baselines, which send no ads).
+      {"ad_bytes_total", n(r.ad_bytes_total)},
+      // Adversaries and defenses (DESIGN.md §16).
+      {"polluted_ads", n(c.polluted_ads)},
+      {"forced_negatives", n(c.forced_negatives)},
+      {"dropped_confirms", n(c.dropped_confirms)},
+      {"storm_queries", n(f.storm_queries)},
+      {"trust_strikes", n(c.trust_strikes)},
+      {"quarantines", n(c.quarantines)},
+      {"readmissions", n(c.readmissions)},
+      {"queries_shed", n(c.queries_shed)},
+      {"ttl_clamped", n(c.ttl_clamped)},
+      {"peak_pending_depth", n(c.peak_pending_depth)},
+      // Adaptive ad scheduling (asap-adaptive, asap-delta).
+      {"ad_bytes_packed", n(r.ad_bytes_packed)},
+      {"ad_rounds", n(c.ad_rounds)},
   };
-  if (r.faults.enabled) {
-    // Fault metrics are only appended for fault-armed runs: the golden
-    // gate requires every reported metric to exist in the baseline, so
-    // faults-off results must keep exactly the legacy set.
-    const auto& c = r.asap_counters;
-    const double stale_hit_rate =
-        c.confirm_requests > 0
-            ? static_cast<double>(c.confirm_timeouts) /
-                  static_cast<double>(c.confirm_requests)
-            : 0.0;
-    const double time_to_repair =
-        c.repair_refetches > 0
-            ? c.repair_seconds_sum / static_cast<double>(c.repair_refetches)
-            : 0.0;
-    out.emplace_back("success_rate_under_churn",
-                     r.faults.success_rate_after_onset);
-    out.emplace_back("queries_under_churn",
-                     static_cast<double>(r.faults.queries_after_onset));
-    out.emplace_back("stale_hit_rate", stale_hit_rate);
-    out.emplace_back("stale_evictions",
-                     static_cast<double>(c.stale_evictions));
-    out.emplace_back("confirm_retries",
-                     static_cast<double>(c.confirm_retries));
-    out.emplace_back("retry_overhead_bytes",
-                     static_cast<double>(c.retry_bytes));
-    out.emplace_back("time_to_repair_s", time_to_repair);
-    out.emplace_back("dead_sends", static_cast<double>(r.faults.dead_sends));
-    out.emplace_back("fault_drops",
-                     static_cast<double>(r.faults.link_drops +
-                                         r.faults.burst_drops +
-                                         r.faults.partition_drops));
-    if (r.asap) {
-      // Total advertisement traffic over the measurement window — the
-      // ad-traffic-vs-success trade-off axis for the adaptive-scheduling
-      // sweeps. Appended for every fault-armed ASAP run so vanilla and
-      // adaptive variants are directly comparable in one artifact.
-      out.emplace_back("ad_bytes_total",
-                       static_cast<double>(r.ad_bytes_total));
-    }
-    if (r.faults.adversarial) {
-      // Adversary/defense metrics: gated on the adversarial flag (not on
-      // `enabled`) so churn-only fault artifacts keep their metric set.
-      out.emplace_back("polluted_ads", static_cast<double>(c.polluted_ads));
-      out.emplace_back("forced_negatives",
-                       static_cast<double>(c.forced_negatives));
-      out.emplace_back("dropped_confirms",
-                       static_cast<double>(c.dropped_confirms));
-      out.emplace_back("storm_queries",
-                       static_cast<double>(r.faults.storm_queries));
-      out.emplace_back("trust_strikes",
-                       static_cast<double>(c.trust_strikes));
-      out.emplace_back("quarantines", static_cast<double>(c.quarantines));
-      out.emplace_back("readmissions", static_cast<double>(c.readmissions));
-      out.emplace_back("queries_shed", static_cast<double>(c.queries_shed));
-      out.emplace_back("ttl_clamped", static_cast<double>(c.ttl_clamped));
-      out.emplace_back("peak_pending_depth",
-                       static_cast<double>(c.peak_pending_depth));
-    }
-  }
-  if (r.asap_counters.ad_rounds > 0) {
-    // Adaptive-scheduler telemetry; only adaptive/delta runs execute ad
-    // rounds, so legacy artifacts keep exactly the legacy metric set.
-    out.emplace_back("ad_bytes_packed",
-                     static_cast<double>(r.ad_bytes_packed));
-    out.emplace_back("ad_rounds",
-                     static_cast<double>(r.asap_counters.ad_rounds));
-  }
-  return out;
 }
 
 MatrixResult run_matrix(const MatrixSpec& spec) {
@@ -213,17 +182,26 @@ MatrixResult run_matrix(const MatrixSpec& spec) {
         cell.algo = spec.algos[a];
         cell.scenario = spec.fault_scenarios[s].name;
         cell.trials = spec.trials;
-        metrics::TrialAggregator agg;
+        // Every run reports the same metric list, so the trials
+        // aggregate position by position.
+        std::vector<std::pair<std::string, RunningStats>> stats;
         for (std::size_t k = 0; k < trials; ++k) {
           const TrialRun& run =
               out.trials[((t * num_scens + s) * num_algos + a) * trials + k];
           cell.digests.push_back(run.result.digest);
           matrix_digest.absorb(run.result.digest);
-          for (const auto& [name, value] : headline_metrics(run.result)) {
-            agg.add(name, value);
+          const auto metrics = headline_metrics(run.result);
+          stats.resize(metrics.size());
+          for (std::size_t m = 0; m < metrics.size(); ++m) {
+            stats[m].first = metrics[m].first;
+            stats[m].second.add(metrics[m].second);
           }
         }
-        cell.metrics = agg.summaries();
+        for (const auto& [name, x] : stats) {
+          cell.metrics.emplace_back(
+              name,
+              MetricSummary{x.count(), x.mean(), x.stddev(), x.min(), x.max()});
+        }
         out.cells.push_back(std::move(cell));
       }
     }
@@ -240,7 +218,7 @@ MatrixResult run_matrix(const MatrixSpec& spec) {
 
 namespace {
 
-json::Value summary_to_json(const metrics::MetricSummary& s) {
+json::Value summary_to_json(const MetricSummary& s) {
   json::Object o;
   o.emplace_back("mean", s.mean);
   o.emplace_back("stddev", s.stddev);
@@ -274,8 +252,8 @@ json::Value results_to_json(const MatrixResult& result) {
   spec_obj.emplace_back("audit", spec.options.audit);
   spec_obj.emplace_back("scale", static_cast<double>(spec.scale));
   spec_obj.emplace_back("stream_trace", spec.stream_trace);
-  // Only recorded when the CLI override was given: absent = legacy file =
-  // scenarios run with their own defense knobs.
+  // Only recorded when the CLI override was given: absent = scenarios run
+  // with their own defense knobs.
   if (spec.trust.has_value()) {
     spec_obj.emplace_back("trust", *spec.trust ? "on" : "off");
   }
@@ -315,48 +293,23 @@ json::Value results_to_json(const MatrixResult& result) {
     }
     r.emplace_back("metrics", std::move(ms));
     if (run.result.faults.enabled) {
+      // What the injector did that no metric carries.
       const auto& f = run.result.faults;
+      const auto n = [](std::uint64_t v) { return static_cast<double>(v); };
       json::Object fs;
-      fs.emplace_back("crashes", static_cast<double>(f.crashes));
-      fs.emplace_back("partitions", static_cast<double>(f.partitions));
-      fs.emplace_back("bursts", static_cast<double>(f.bursts));
-      fs.emplace_back("link_drops", static_cast<double>(f.link_drops));
-      fs.emplace_back("burst_drops", static_cast<double>(f.burst_drops));
-      fs.emplace_back("partition_drops",
-                      static_cast<double>(f.partition_drops));
-      fs.emplace_back("dead_sends", static_cast<double>(f.dead_sends));
+      fs.emplace_back("crashes", n(f.crashes));
+      fs.emplace_back("partitions", n(f.partitions));
+      fs.emplace_back("bursts", n(f.bursts));
+      fs.emplace_back("link_drops", n(f.link_drops));
+      fs.emplace_back("burst_drops", n(f.burst_drops));
+      fs.emplace_back("partition_drops", n(f.partition_drops));
       fs.emplace_back("first_fault_time", f.first_fault_time);
-      fs.emplace_back("queries_after_onset",
-                      static_cast<double>(f.queries_after_onset));
       fs.emplace_back("successes_after_onset",
-                      static_cast<double>(f.successes_after_onset));
-      if (f.adversarial) {
-        fs.emplace_back("adversarial", true);
-        fs.emplace_back("polluters", static_cast<double>(f.polluters));
-        fs.emplace_back("stale_advertisers",
-                        static_cast<double>(f.stale_advertisers));
-        fs.emplace_back("confirm_droppers",
-                        static_cast<double>(f.confirm_droppers));
-        fs.emplace_back("storms", static_cast<double>(f.storms));
-        fs.emplace_back("storm_queries",
-                        static_cast<double>(f.storm_queries));
-        const auto& c = run.result.asap_counters;
-        fs.emplace_back("polluted_ads", static_cast<double>(c.polluted_ads));
-        fs.emplace_back("forced_negatives",
-                        static_cast<double>(c.forced_negatives));
-        fs.emplace_back("dropped_confirms",
-                        static_cast<double>(c.dropped_confirms));
-        fs.emplace_back("trust_strikes",
-                        static_cast<double>(c.trust_strikes));
-        fs.emplace_back("quarantines", static_cast<double>(c.quarantines));
-        fs.emplace_back("readmissions",
-                        static_cast<double>(c.readmissions));
-        fs.emplace_back("queries_shed",
-                        static_cast<double>(c.queries_shed));
-        fs.emplace_back("ttl_clamped", static_cast<double>(c.ttl_clamped));
-        fs.emplace_back("peak_pending_depth",
-                        static_cast<double>(c.peak_pending_depth));
-      }
+                      n(run.result.search.successes_after_onset()));
+      fs.emplace_back("polluters", n(f.polluters));
+      fs.emplace_back("stale_advertisers", n(f.stale_advertisers));
+      fs.emplace_back("confirm_droppers", n(f.confirm_droppers));
+      fs.emplace_back("storms", n(f.storms));
       r.emplace_back("fault_summary", std::move(fs));
     }
     // Wall-clock phase breakdown; informational only, like wall_seconds —
@@ -413,33 +366,20 @@ MatrixSpec spec_from_json(const json::Value& doc) {
     ASAP_REQUIRE(algo.has_value(), "results spec: unknown algorithm");
     out.algos.push_back(*algo);
   }
-  // Older results files predate the fault axis; absent means the default
-  // single "none" scenario, so committed goldens keep round-tripping.
-  if (const json::Value* scens = spec.find("fault_scenarios")) {
-    out.fault_scenarios.clear();
-    for (const auto& s : scens->as_array()) {
-      out.fault_scenarios.push_back(faults::scenario_from_json(s));
-    }
-    ASAP_REQUIRE(!out.fault_scenarios.empty(),
-                 "results spec: empty fault_scenarios");
+  out.fault_scenarios.clear();
+  for (const auto& s : spec.at("fault_scenarios").as_array()) {
+    out.fault_scenarios.push_back(faults::scenario_from_json(s));
   }
+  ASAP_REQUIRE(!out.fault_scenarios.empty(),
+               "results spec: empty fault_scenarios");
   out.seed = spec.at("seed").u64_hex();
   out.trials = spec.at("trials").as_u32("trials");
   out.queries = spec.at("queries").as_u32("queries");
   out.options.message_loss = spec.at("message_loss").as_double();
   out.options.audit = spec.at("audit").as_bool();
-  // Files written while the engine had a shard axis carry "shards"; shard
-  // counts never changed a digest, so the key is ignored.
-  // Older results files predate the scale axis; absent means the preset's
-  // own dimensions (scale = 0) with a materialized trace, exactly what
-  // every pre-scale artifact ran with.
-  if (const json::Value* scale = spec.find("scale")) {
-    out.scale = scale->as_u32("scale");
-  }
-  if (const json::Value* stream = spec.find("stream_trace")) {
-    out.stream_trace = stream->as_bool();
-  }
-  // Absent = legacy file = no defense override (tri-state stays unset).
+  out.scale = spec.at("scale").as_u32("scale");
+  out.stream_trace = spec.at("stream_trace").as_bool();
+  // Absent = each scenario runs with its own defense knobs (no override).
   if (const json::Value* trust = spec.find("trust")) {
     const std::string& v = trust->as_string();
     ASAP_REQUIRE(v == "on" || v == "off",

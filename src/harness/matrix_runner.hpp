@@ -34,7 +34,6 @@
 #include "common/json.hpp"
 #include "harness/replay.hpp"
 #include "harness/world.hpp"
-#include "metrics/aggregate.hpp"
 
 namespace asap::harness {
 
@@ -43,8 +42,7 @@ struct MatrixSpec {
   std::vector<TopologyKind> topologies{TopologyKind::kCrawled};
   std::vector<AlgoKind> algos{std::begin(kAllAlgos), std::end(kAllAlgos)};
   /// Fault-scenario axis (faults/fault_config.hpp). The default single
-  /// "none" scenario arms no injector, so legacy matrices (and their
-  /// goldens) are exactly the one-scenario special case.
+  /// "none" scenario arms no injector.
   std::vector<faults::FaultScenario> fault_scenarios{faults::FaultScenario{}};
   /// Master seed; trial k of every cell runs with seed ^ trial_seed_salt(k).
   std::uint64_t seed = 42;
@@ -62,8 +60,8 @@ struct MatrixSpec {
   /// (streaming-vs-materialized digest-identity checks).
   bool stream_trace = false;
   /// Tri-state defense override (the --trust on|off CLI axis). Unset leaves
-  /// every scenario's own defense knobs alone (legacy behaviour, and what
-  /// absent results.json keys round-trip to). `on` forces trust scoring
+  /// every scenario's own defense knobs alone (what an absent results.json
+  /// key round-trips to). `on` forces trust scoring
   /// (plus the per-chain strike guard) across all fault-armed scenarios;
   /// `off` strips trust *and* overload protection, the defense-off control
   /// arm of the adversarial golden.
@@ -92,6 +90,18 @@ struct TrialRun {
   RunResult result;
 };
 
+/// One headline metric aggregated over a cell's trials. stddev is the
+/// Bessel-corrected sample standard deviation (denominator n-1, matching
+/// RunningStats::stddev) — trials are draws from the seed population, not
+/// the population itself; 0 for a single trial.
+struct MetricSummary {
+  std::uint64_t count = 0;
+  double mean = 0.0;
+  double stddev = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
 /// One (topology × scenario × algorithm) cell aggregated over its trials.
 struct CellAggregate {
   TopologyKind topology{};
@@ -101,7 +111,7 @@ struct CellAggregate {
   /// Per-trial run digests in trial order — the regression fingerprint.
   std::vector<std::uint64_t> digests;
   /// Headline metrics (headline_metrics() order), mean ± stddev over trials.
-  std::vector<std::pair<std::string, metrics::MetricSummary>> metrics;
+  std::vector<std::pair<std::string, MetricSummary>> metrics;
 };
 
 struct MatrixResult {
@@ -116,10 +126,9 @@ struct MatrixResult {
   double wall_seconds = 0.0;
 };
 
-/// The scalar metrics a run is summarized by, in canonical report order.
-/// Runs with the fault layer armed report additional fault metrics
-/// (success_rate_under_churn, stale_evictions, …); faults-off runs keep
-/// the legacy metric set exactly, so committed goldens stay comparable.
+/// The scalar metrics a run is summarized by, in canonical report order:
+/// the same names for every run (docs/RESULTS_SCHEMA.md), 0 where the run
+/// had nothing to count.
 std::vector<std::pair<std::string, double>> headline_metrics(
     const RunResult& r);
 

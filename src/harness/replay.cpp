@@ -331,7 +331,6 @@ RunResult run_experiment(const World& world, const ProtocolFactory& make,
       static_cast<std::uint32_t>(std::ceil(res.measure_end)));
   if (const auto* asap = dynamic_cast<const ads::AsapProtocol*>(algo.get())) {
     res.asap_counters = asap->counters();
-    res.asap = true;
     for (const auto& share : res.breakdown) {
       switch (share.category) {
         case sim::Traffic::kFullAd:
@@ -359,21 +358,11 @@ RunResult run_experiment(const World& world, const ProtocolFactory& make,
     res.faults.partition_drops = rep.partition_drops;
     res.faults.dead_sends = rep.dead_sends;
     res.faults.first_fault_time = plan->first_fault_time();
-    res.faults.queries_after_onset = res.search.total_after_onset();
-    res.faults.successes_after_onset = res.search.successes_after_onset();
-    res.faults.success_rate_after_onset =
-        res.search.success_rate_after_onset();
-    res.faults.adversarial =
-        fault_cfg.adversarial() || fault_cfg.trust_enabled ||
-        fault_cfg.trust_fill_gate > 0 || fault_cfg.pending_query_cap > 0 ||
-        fault_cfg.ttl_clamp_depth > 0;
-    if (res.faults.adversarial) {
-      res.faults.polluters = plan->polluters().size();
-      res.faults.stale_advertisers = plan->stale_advertisers().size();
-      res.faults.confirm_droppers = plan->confirm_droppers().size();
-      res.faults.storms = plan->storms().size();
-      res.faults.storm_queries = rep.storm_queries;
-    }
+    res.faults.polluters = plan->polluters().size();
+    res.faults.stale_advertisers = plan->stale_advertisers().size();
+    res.faults.confirm_droppers = plan->confirm_droppers().size();
+    res.faults.storms = plan->storms().size();
+    res.faults.storm_queries = rep.storm_queries;
   }
   if (opts.observer != nullptr) opts.observer->finalize(horizon);
   profiler.end(engine.executed());

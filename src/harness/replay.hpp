@@ -109,18 +109,9 @@ struct FaultSummary {
   std::uint64_t partition_drops = 0;
   /// Transmissions paid for to crashed-but-undetected nodes.
   std::uint64_t dead_sends = 0;
-  /// First fault instant (+inf when the plan is empty).
+  /// First fault instant (+inf when the plan is empty). The searches
+  /// issued at or after it are SearchStats' *_after_onset() counts.
   Seconds first_fault_time = 0.0;
-  /// Searches issued at or after first_fault_time, and how many succeeded
-  /// (the success-rate-under-churn metric).
-  std::uint64_t queries_after_onset = 0;
-  std::uint64_t successes_after_onset = 0;
-  double success_rate_after_onset = 0.0;
-  /// True when the fault config armed adversarial roles / storms or any
-  /// defense knob — gates the adversary/defense result fields (the impact
-  /// and defense counts live in RunResult::asap_counters) so legacy
-  /// (churn-only) fault runs keep their exact metric set.
-  bool adversarial = false;
   /// Seeded Byzantine roster sizes (from the plan).
   std::uint64_t polluters = 0;
   std::uint64_t stale_advertisers = 0;
@@ -142,8 +133,6 @@ struct RunResult {
   std::vector<metrics::CategoryShare> breakdown;
   /// ASAP event counters (empty-initialized for baselines).
   ads::AsapProtocol::Counters asap_counters;
-  /// True for ASAP variants (gates the ad-byte metrics below).
-  bool asap = false;
   /// Advertisement bytes over the measurement window: all ad categories
   /// (full + patch + refresh + packed), and the packed-frame share alone.
   Bytes ad_bytes_total = 0;

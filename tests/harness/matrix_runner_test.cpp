@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "common/error.hpp"
@@ -155,23 +156,16 @@ TEST(MatrixRunner, ResultsJsonRoundTripsTheSpec) {
 }
 
 TEST(MatrixRunner, SpecCountsMustBeUint32Integers) {
+  // The writer's own spec (every key present), with one count replaced.
   const auto spec_with = [](const char* key, double value) {
-    json::Object spec;
-    spec.emplace_back("preset", "small");
-    spec.emplace_back("topologies", json::Array{json::Value("crawled")});
-    spec.emplace_back("algos", json::Array{json::Value("flooding")});
-    spec.emplace_back("seed", json::hex_u64(1));
-    spec.emplace_back("trials", 1.0);
-    spec.emplace_back("queries", 100.0);
-    spec.emplace_back("message_loss", 0.0);
-    spec.emplace_back("audit", false);
-    spec.emplace_back("scale", 0.0);
-    for (auto& [k, v] : spec) {
-      if (k == key) v = value;
+    json::Value doc = results_to_json(MatrixResult{});
+    for (auto& [k, spec] : doc.as_object()) {
+      if (k != "spec") continue;
+      for (auto& [field, v] : spec.as_object()) {
+        if (field == key) v = value;
+      }
     }
-    json::Object doc;
-    doc.emplace_back("spec", std::move(spec));
-    return json::Value(std::move(doc));
+    return doc;
   };
   for (const char* key : {"trials", "queries", "scale"}) {
     for (const double bad : {-1.0, 2.5, 1e30, 4294967296.0}) {
@@ -186,6 +180,70 @@ TEST(MatrixRunner, SpecCountsMustBeUint32Integers) {
   }
   EXPECT_EQ(spec_from_json(spec_with("queries", 4294967295.0)).queries,
             4294967295u);
+}
+
+TEST(MatrixRunner, EveryRunReportsTheSameMetrics) {
+  auto cfg = ExperimentConfig::make(Preset::kSmall, TopologyKind::kCrawled, 7);
+  shrink(cfg);
+  const World world = build_world(cfg);
+  const auto run = [&](AlgoKind algo, const char* scenario) {
+    RunOptions opts;
+    if (scenario != nullptr) {
+      opts.faults = faults::fault_preset(scenario).config;
+    }
+    return headline_metrics(run_experiment(world, algo, opts));
+  };
+  const auto value = [](const auto& metrics, const char* name) {
+    for (const auto& [k, v] : metrics) {
+      if (k == name) return v;
+    }
+    ADD_FAILURE() << "no metric " << name;
+    return -1.0;
+  };
+
+  const auto flooding = run(AlgoKind::kFlooding, nullptr);
+  const auto asap_rw = run(AlgoKind::kAsapRw, nullptr);
+  const auto delta = run(AlgoKind::kAsapDelta, nullptr);
+  const auto churn = run(AlgoKind::kAsapRw, "churn");
+  const auto byzantine = run(AlgoKind::kAsapRw, "byzantine");
+  ASSERT_EQ(flooding.size(), 32u);
+  for (const auto* other : {&asap_rw, &delta, &churn, &byzantine}) {
+    ASSERT_EQ(other->size(), flooding.size());
+    for (std::size_t i = 0; i < flooding.size(); ++i) {
+      EXPECT_EQ((*other)[i].first, flooding[i].first) << "metric " << i;
+    }
+  }
+
+  // Nothing to count reads 0: flooding sends no ads, and no search falls
+  // after a fault onset when no injector is armed.
+  EXPECT_EQ(value(flooding, "ad_bytes_total"), 0.0);
+  for (const auto* faults_off : {&flooding, &asap_rw, &delta}) {
+    EXPECT_EQ(value(*faults_off, "queries_under_churn"), 0.0);
+  }
+  EXPECT_GT(value(asap_rw, "ad_bytes_total"), 0.0);
+  EXPECT_EQ(value(asap_rw, "ad_rounds"), 0.0);
+  EXPECT_GT(value(delta, "ad_rounds"), 0.0);
+  EXPECT_GT(value(churn, "queries_under_churn"), 0.0);
+  EXPECT_GT(value(byzantine, "storm_queries"), 0.0);
+}
+
+TEST(ParseCount, AcceptsDigitsWithinRangeOnly) {
+  EXPECT_EQ(parse_count("--queries", "0", 10), 0u);
+  EXPECT_EQ(parse_count("--queries", "4294967295", 4294967295u),
+            4294967295u);
+  EXPECT_EQ(parse_count("--seed", "18446744073709551615",
+                        std::numeric_limits<std::uint64_t>::max()),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "12abc", "0x10", "1e3",
+                          "4294967296", "99999999999999999999"}) {
+    try {
+      parse_count("--queries", bad, 4294967295u);
+      ADD_FAILURE() << "'" << bad << "' was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("--queries"), std::string::npos)
+          << "error does not name the flag: " << e.what();
+    }
+  }
 }
 
 TEST(MatrixRunner, RejectsDegenerateSpecs) {

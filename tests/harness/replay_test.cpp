@@ -114,7 +114,7 @@ TEST_F(ReplayTest, GossipUnderFaultsAuditsCleanAndRepeats) {
   opts.faults = faults::fault_preset("churn").config;
   const auto a = run_gossip(*world_, opts);
   EXPECT_GT(a.faults.crashes, 0u);
-  EXPECT_GT(a.faults.queries_after_onset, 0u);
+  EXPECT_GT(a.search.total_after_onset(), 0u);
   // Crashed requesters send no query: the same queries as a baseline.
   EXPECT_EQ(a.search.total(),
             run_experiment(*world_, AlgoKind::kFlooding, opts).search.total());

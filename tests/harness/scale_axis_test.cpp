@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "common/error.hpp"
 #include "common/json.hpp"
 #include "faults/fault_config.hpp"
 #include "harness/config.hpp"
@@ -79,26 +80,22 @@ TEST(ScaleAxis, SpecRoundTripsThroughResultsJson) {
   EXPECT_TRUE(parsed.stream_trace);
 }
 
-TEST(ScaleAxis, PreScaleDocumentsParseWithDefaults) {
-  // results.json written before the scale axis existed carries neither
-  // key; spec_from_json must default them, not throw. Files from when the
-  // engine had a shard axis carry "shards", which must parse and be
-  // ignored.
+TEST(ScaleAxis, SpecWithoutScaleKeysIsRejected) {
+  // Every results.json records the scale axis; a document missing either
+  // key is malformed, not an old format with a default.
   auto spec = tiny_spec();
   spec.algos = {AlgoKind::kFlooding};
   const auto result = run_matrix(spec);
-  auto doc = results_to_json(result);
-  for (auto& [key, value] : doc.as_object()) {
-    if (key != "spec") continue;
-    auto& spec_obj = value.as_object();
-    std::erase_if(spec_obj, [](const auto& kv) {
-      return kv.first == "scale" || kv.first == "stream_trace";
-    });
-    spec_obj.emplace_back("shards", 4.0);
+  for (const char* missing : {"scale", "stream_trace"}) {
+    auto doc = results_to_json(result);
+    for (auto& [key, value] : doc.as_object()) {
+      if (key != "spec") continue;
+      std::erase_if(value.as_object(),
+                    [&](const auto& kv) { return kv.first == missing; });
+    }
+    EXPECT_THROW(spec_from_json(json::parse(json::dump(doc))), ConfigError)
+        << missing;
   }
-  const auto parsed = spec_from_json(json::parse(json::dump(doc)));
-  EXPECT_EQ(parsed.scale, 0u);
-  EXPECT_FALSE(parsed.stream_trace);
 }
 
 TEST(ScaleAxis, TrialRunsCarryThroughputInstrumentation) {

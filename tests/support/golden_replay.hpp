@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/json.hpp"
 #include "harness/matrix_runner.hpp"
@@ -33,8 +34,9 @@ inline bool near(double a, double b) {
 }
 
 /// Replays `golden`'s recorded spec with run_matrix and checks the cell
-/// count, every cell's digests, every metric's mean and stddev, and the
-/// matrix digest. Every failure message ends with `refresh_hint`.
+/// count, every cell's digests, its metric names in order, every metric's
+/// mean and stddev, and the matrix digest. Every failure message ends with
+/// `refresh_hint`.
 inline void expect_replay_matches(const json::Value& golden,
                                   const std::string& refresh_hint) {
   ASSERT_EQ(golden.at("schema").as_string(), "asap-matrix-results/1");
@@ -48,14 +50,12 @@ inline void expect_replay_matches(const json::Value& golden,
   for (std::size_t i = 0; i < golden_cells.size(); ++i) {
     const json::Value& want = golden_cells[i];
     const harness::CellAggregate& got = actual.cells[i];
-    // Files older than the fault axis have no "faults" key: "none".
-    const json::Value* faults = want.find("faults");
-    const std::string scenario = faults ? faults->as_string() : "none";
     const std::string label = want.at("topology").as_string() + "/" +
-                              scenario + "/" + want.at("algo").as_string();
+                              want.at("faults").as_string() + "/" +
+                              want.at("algo").as_string();
     EXPECT_EQ(harness::topology_name(got.topology),
               want.at("topology").as_string());
-    EXPECT_EQ(got.scenario, scenario);
+    EXPECT_EQ(got.scenario, want.at("faults").as_string());
     EXPECT_EQ(harness::algo_name(got.algo), want.at("algo").as_string());
 
     const auto& want_digests = want.at("digests").as_array();
@@ -68,17 +68,23 @@ inline void expect_replay_matches(const json::Value& golden,
           << ") — the simulation executes differently now" << refresh_hint;
     }
 
+    // The same metric names in the same order: the gate pins the set.
+    std::vector<std::string> want_names, got_names;
+    for (const auto& [name, value] : want.at("metrics").as_object()) {
+      want_names.push_back(name);
+    }
+    for (const auto& [name, summary] : got.metrics) got_names.push_back(name);
+    ASSERT_EQ(got_names, want_names)
+        << label << ": the metric list changed" << refresh_hint;
+
     const json::Value& want_metrics = want.at("metrics");
     for (const auto& [name, summary] : got.metrics) {
-      const json::Value* want_metric = want_metrics.find(name);
-      ASSERT_NE(want_metric, nullptr)
-          << label << ": metric " << name << " missing from baseline"
-          << refresh_hint;
-      const double want_mean = want_metric->at("mean").as_double();
+      const json::Value& want_metric = want_metrics.at(name);
+      const double want_mean = want_metric.at("mean").as_double();
       EXPECT_TRUE(near(summary.mean, want_mean))
           << label << " " << name << ": golden mean " << want_mean
           << ", actual " << summary.mean << refresh_hint;
-      const double want_sd = want_metric->at("stddev").as_double();
+      const double want_sd = want_metric.at("stddev").as_double();
       EXPECT_TRUE(near(summary.stddev, want_sd))
           << label << " " << name << ": golden stddev " << want_sd
           << ", actual " << summary.stddev << refresh_hint;

@@ -12,6 +12,7 @@
 //   asap_sim --algo all --trials 8 --jobs 8 --json results.json
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -139,6 +140,19 @@ CliArgs parse(int argc, char** argv) {
       if (i + 1 >= argc) throw ConfigError("missing value for " + flag);
       return argv[++i];
     };
+    // Counts and the seed take digits only, up to their field's range.
+    auto count = [&](std::uint64_t max) {
+      return harness::parse_count(flag, next(), max);
+    };
+    auto count32 = [&] {
+      return static_cast<std::uint32_t>(
+          count(std::numeric_limits<std::uint32_t>::max()));
+    };
+    auto on_off = [&] {
+      const std::string v = next();
+      if (v != "on" && v != "off") throw ConfigError(flag + " takes on|off");
+      return v == "on";
+    };
     if (flag == "--help" || flag == "-h") {
       print_usage();
       std::exit(0);
@@ -161,17 +175,17 @@ CliArgs parse(int argc, char** argv) {
         }
       }
     } else if (flag == "--seed") {
-      spec.seed = std::stoull(next());
+      spec.seed = count(std::numeric_limits<std::uint64_t>::max());
     } else if (flag == "--queries") {
-      spec.queries = static_cast<std::uint32_t>(std::stoul(next()));
+      spec.queries = count32();
     } else if (flag == "--jobs") {
-      spec.jobs = std::stoul(next());
+      spec.jobs = count(std::numeric_limits<std::size_t>::max());
     } else if (flag == "--scale") {
-      spec.scale = static_cast<std::uint32_t>(std::stoul(next()));
+      spec.scale = count32();
     } else if (flag == "--stream-trace") {
       spec.stream_trace = true;
     } else if (flag == "--trials") {
-      spec.trials = static_cast<std::uint32_t>(std::stoul(next()));
+      spec.trials = count32();
     } else if (flag == "--audit") {
       spec.options.audit = true;
     } else if (flag == "--faults") {
@@ -180,11 +194,7 @@ CliArgs parse(int argc, char** argv) {
         spec.fault_scenarios.push_back(faults::scenario_from_spec(f));
       }
     } else if (flag == "--trust") {
-      const std::string v = next();
-      if (v != "on" && v != "off") {
-        throw ConfigError("--trust takes on|off");
-      }
-      spec.trust = (v == "on");
+      spec.trust = on_off();
     } else if (flag == "--csv") {
       args.csv_path = next();
     } else if (flag == "--json") {
@@ -192,7 +202,7 @@ CliArgs parse(int argc, char** argv) {
     } else if (flag == "--trace-out") {
       args.trace_out = next();
     } else if (flag == "--trace-sample") {
-      args.trace_sample = std::stoull(next());
+      args.trace_sample = count(std::numeric_limits<std::uint64_t>::max());
       if (args.trace_sample == 0) {
         throw ConfigError("--trace-sample must be >= 1");
       }
@@ -204,17 +214,17 @@ CliArgs parse(int argc, char** argv) {
         throw ConfigError("--counters-period must be positive");
       }
     } else if (flag == "--m0") {
-      args.m0 = std::stoull(next());
+      args.m0 = count(std::numeric_limits<std::uint64_t>::max());
     } else if (flag == "--refresh-period") {
       args.refresh_period = std::stod(next());
     } else if (flag == "--cache-capacity") {
-      args.cache_capacity = static_cast<std::uint32_t>(std::stoul(next()));
+      args.cache_capacity = count32();
     } else if (flag == "--hops") {
-      args.hops = static_cast<std::uint32_t>(std::stoul(next()));
+      args.hops = count32();
     } else if (flag == "--results-needed") {
-      args.results_needed = static_cast<std::uint32_t>(std::stoul(next()));
+      args.results_needed = count32();
     } else if (flag == "--refresh-pull") {
-      args.refresh_pull = next() == "on";
+      args.refresh_pull = on_off();
     } else {
       throw ConfigError("unknown flag: " + flag + " (see --help)");
     }
@@ -296,8 +306,10 @@ void print_fault_lines(const harness::MatrixResult& result) {
               << " fault drops, " << f.dead_sends << " dead sends, "
               << c.confirm_retries << " confirm retries, "
               << c.stale_evictions << " stale evictions, success under churn "
-              << TextTable::num(100.0 * f.success_rate_after_onset, 1)
-              << "% over " << f.queries_after_onset << " queries\n";
+              << TextTable::num(
+                     100.0 * run.result.search.success_rate_after_onset(), 1)
+              << "% over " << run.result.search.total_after_onset()
+              << " queries\n";
   }
 }
 
